@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import click
@@ -76,6 +77,23 @@ def _load_data(path, banknote=False):
 
 def _parse_point(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
+
+
+_PLAIN_KOMAKI = re.compile(r"komaki\(([^()]*)\)")
+
+
+def _komaki_args(prior_text: str) -> tuple[float, float]:
+    """(beta, alpha) of a plain komaki(beta,alpha[,floor]) prior string."""
+    m = _PLAIN_KOMAKI.fullmatch(prior_text.strip())
+    try:
+        args = [float(v) for v in m.group(1).split(",")] if m else []
+    except ValueError:
+        args = []
+    if len(args) not in (2, 3):
+        raise click.UsageError(
+            "komaki-gibbs needs a plain komaki(beta,alpha[,floor]) prior, "
+            f"got {prior_text!r}")
+    return args[0], args[1]
 
 
 @click.group()
@@ -190,13 +208,10 @@ def sample(sampler, model_name, prior_text, data_path, banknote, chain_length,
         chain = polya_gamma_gibbs(data.covariates, data.responses.ravel(),
                                   prior, config)
     else:
+        beta, alpha = _komaki_args(prior_text)
         model = build_model(model_name or f"poisson-seq:{data.responses.shape[1]}",
                             data)
-        prior = parse_prior(prior_text, model)
-        if not prior_text.strip().startswith("komaki"):
-            raise click.UsageError("komaki-gibbs needs a komaki(...) prior")
-        args = prior_text.strip()[len("komaki("):-1].split(",")
-        beta, alpha = float(args[0]), float(args[1])
+        parse_prior(prior_text, model)  # validates the hyperparameters
         counts = data.responses.sum(axis=0)
         chain = komaki_gibbs(counts, data.n, np.full(counts.shape[0], beta),
                              alpha, config)

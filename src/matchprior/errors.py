@@ -5,6 +5,10 @@ class MatchPriorError(Exception):
     """Base class for all package errors."""
 
 
+class NonFiniteInput(MatchPriorError):
+    """An input array has NaN or infinite entries where finite ones are required."""
+
+
 class NonFiniteLogDensity(MatchPriorError):
     """Log density evaluated to NaN or -inf at an interior point."""
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import (BoundaryPoint, BoundaryStuck, IndefiniteHessian,
                      NotConverged, SingularFisher)
-from .geometry import geometry_at, jeffreys_log_grad
+from .geometry import central_difference, geometry_at, jeffreys_log_grad
 from .models import Dataset, ModelSpec, check_point, third_derivative_tensor
 from .priors import PriorSpec
 
@@ -54,15 +54,7 @@ def identity_statistics(dim: int) -> list[Statistic]:
 def _prior_hess(prior: PriorSpec, theta, h=1e-6):
     if prior.log_hess is not None:
         return prior.log_hess(theta)
-    d = theta.shape[0]
-    out = np.zeros((d, d))
-    for a in range(d):
-        ha = h * max(1.0, abs(theta[a]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[a] += ha
-        dn[a] -= ha
-        out[a] = (prior.log_grad(up) - prior.log_grad(dn)) / (2.0 * ha)
+    out = central_difference(prior.log_grad, theta, h)
     return 0.5 * (out + out.T)
 
 

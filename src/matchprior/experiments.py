@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MatchPriorError
-from .estimators import calibrate_pm_from_map, map_estimate, mle
+from .estimators import calibrate_pm_from_map, map_estimate
 from .mcmc import (ChainConfig, batch_means_se, komaki_gibbs,
                    polya_gamma_gibbs, rwmh)
 from .models import (Dataset, LogisticGLM, MultivariateCauchyLocation,
                      PoissonSequence, sigmoid)
-from .priors import komaki_prior, mflat_pm_partner, normal_prior, eflat_map_partner
+from .priors import eflat_map_partner, komaki_prior, normal_prior
 
 
 @dataclass

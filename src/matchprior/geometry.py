@@ -108,24 +108,32 @@ def alpha_connection(report: GeometryReport, alpha: float) -> np.ndarray:
     return report.gamma_m - 0.5 * (1.0 + alpha) * report.T
 
 
+def central_difference(fn, theta, h: float, in_support=None) -> np.ndarray:
+    """out[a] = (fn(theta + h_a e_a) - fn(theta - h_a e_a)) / (2 h_a).
+
+    The step is relative, h_a = h * max(1, |theta_a|).  With in_support given,
+    a probe outside it raises StepTooLarge.
+    """
+    out = []
+    for a in range(theta.shape[0]):
+        ha = h * max(1.0, abs(theta[a]))
+        up = theta.copy()
+        dn = theta.copy()
+        up[a] += ha
+        dn[a] -= ha
+        if in_support is not None and not (in_support(up) and in_support(dn)):
+            raise StepTooLarge(f"difference probe left support at coordinate {a}")
+        out.append((fn(up) - fn(dn)) / (2.0 * ha))
+    return np.array(out)
+
+
 def fisher_matrix_grad(model: ModelSpec, theta, h: float = 1e-5) -> np.ndarray:
     """d g_bc / d theta_a, analytic when the model provides it, else central FD."""
     theta = check_point(model, theta)
     dg = model.fisher_grad(theta)
     if dg is not None:
         return dg
-    d = model.dim
-    out = np.zeros((d, d, d))
-    for a in range(d):
-        ha = h * max(1.0, abs(theta[a]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[a] += ha
-        dn[a] -= ha
-        if not (model.in_support(up) and model.in_support(dn)):
-            raise StepTooLarge(f"fisher FD probe left support at coordinate {a}")
-        out[a] = (model.fisher(up) - model.fisher(dn)) / (2.0 * ha)
-    return out
+    return central_difference(model.fisher, theta, h, model.in_support)
 
 
 def jeffreys_log_grad(model: ModelSpec, theta) -> np.ndarray:
@@ -134,6 +142,26 @@ def jeffreys_log_grad(model: ModelSpec, theta) -> np.ndarray:
     g_inv = _invert_metric(model.fisher(theta))
     dg = fisher_matrix_grad(model, theta)
     return 0.5 * np.einsum("bc,abc->a", g_inv, dg)
+
+
+def jeffreys_log_hess(model: ModelSpec, theta) -> np.ndarray:
+    """Hessian of log pi_J.
+
+    (1/2)[g^{cd} d_a d_b g_cd - tr(g^{-1} d_a g g^{-1} d_b g)] in closed form
+    when the model provides fisher_hess, else central differences of
+    jeffreys_log_grad.
+    """
+    theta = check_point(model, theta)
+    d2g = model.fisher_hess(theta)
+    if d2g is None:
+        out = central_difference(lambda th: jeffreys_log_grad(model, th), theta,
+                                 1e-6, model.in_support)
+        return 0.5 * (out + out.T)
+    g_inv = _invert_metric(model.fisher(theta))
+    a = g_inv @ fisher_matrix_grad(model, theta)  # a[k] = g^{-1} d_k g
+    hess = 0.5 * (np.tensordot(d2g, g_inv, axes=([2, 3], [0, 1]))
+                  - np.einsum("aij,bji->ab", a, a))
+    return 0.5 * (hess + hess.T)
 
 
 def jeffreys_log_density(model: ModelSpec, theta) -> float:

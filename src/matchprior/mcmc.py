@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
-from .errors import (InvalidHyperparameter, SingularPrecision, ZeroAcceptance)
+from .errors import (InvalidHyperparameter, NonFiniteInput, SingularPrecision,
+                     ZeroAcceptance)
 from .models import Dataset, ModelSpec
 from .priors import PriorSpec
 
@@ -219,6 +220,9 @@ def _rtigauss(rng, z):
 def polya_gamma_1(rng, z) -> np.ndarray:
     """Exact draws from PG(1, z) for an array z (Devroye-type scheme)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(np.isfinite(z)):
+        # the alternating series never decides a NaN slot: the loop would spin
+        raise NonFiniteInput("PG(1, z) needs finite z")
     half = np.abs(z) * 0.5
     fz = np.pi**2 / 8.0 + 0.5 * half * half
     pexp = _pg_mass_texpon(half)
@@ -266,10 +270,20 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     x = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(responses, dtype=float).ravel()
     n, d = x.shape
-    if prior.log_hess is None:
-        raise InvalidHyperparameter("polya_gamma_gibbs needs a Gaussian prior")
+    if prior.log_hess is None or not prior.proper:
+        raise InvalidHyperparameter("polya_gamma_gibbs needs a proper Gaussian prior")
     zero = np.zeros(d)
-    p0 = -prior.log_hess(zero)
+    with np.errstate(all="ignore"):
+        p0 = -prior.log_hess(zero)
+    # an infinite or indefinite prior precision (e.g. a gamma prior at 0)
+    # makes every PG draw degenerate and the sampler never returns
+    if not np.all(np.isfinite(p0)):
+        raise InvalidHyperparameter(f"prior precision at 0 is not finite: {p0}")
+    try:
+        np.linalg.cholesky(p0)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidHyperparameter(
+            "prior precision at 0 is not positive definite") from exc
     m0 = np.linalg.solve(p0, prior.log_grad(zero)) if np.any(prior.log_grad(zero)) \
         else zero
     rng = np.random.default_rng(config.seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -20,6 +21,23 @@ from .errors import NonFiniteLogDensity, StepTooLarge
 
 def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _row_outer(x):
+    """(n, d*d) array whose row i is the flattened outer product x_i x_i'."""
+    n, d = x.shape
+    return (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+
+
+def weighted_cube(x, w=None):
+    """sum_i w_i x_ia x_ib x_ic as a (d, d, d) array, by one GEMM.
+
+    x is (n, d) and w is (n,) or None for unit weights.  The largest
+    temporary is the (n, d*d) row-wise outer product, never (n, d, d, d).
+    """
+    d = x.shape[1]
+    xw = x if w is None else x * w[:, None]
+    return (xw.T @ _row_outer(x)).reshape(d, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +127,13 @@ class ModelSpec:
         theta = np.atleast_1d(theta)
         if theta.shape[0] != self.dim:
             return False
-        for v, (lo, hi) in zip(theta, self.support):
-            if not (lo < v < hi) or not np.isfinite(v):
-                return False
-        return True
+        return in_open_box(theta, self._support_bounds)
+
+    @cached_property
+    def _support_bounds(self):
+        # support is fixed at construction; in_support runs on every trial
+        # point of a line search, so its arrays are built once
+        return box_bounds(self.support)
 
     # -- single observation interface -------------------------------------
     def log_density(self, obs: Observation, theta) -> float:
@@ -150,6 +171,13 @@ class ModelSpec:
         """d x d x d array with entry [a, b, c] = d g_bc / d theta_a, or None."""
         return None
 
+    def fisher_hess(self, theta):
+        """(d, d, d, d) array, [a, b, c, e] = d^2 g_ce / d theta_a d theta_b, or None.
+
+        Dense, so it holds d^4 floats: 8 MB at d = 32, 800 MB at d = 100.
+        """
+        return None
+
     def skewness(self, theta):
         """Analytic skewness tensor T_abc, or None if not available."""
         return None
@@ -175,6 +203,22 @@ class ModelSpec:
             score[t] = self.grad_logp(obs, theta)
             hess[t] = self.hess_logp(obs, theta)
         return score, hess
+
+
+def box_bounds(support) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (lo, hi) of the lower and upper ends of a list of (lo, hi) intervals."""
+    lo, hi = np.array(support, dtype=float).reshape(-1, 2).T
+    return lo.copy(), hi.copy()
+
+
+def in_open_box(theta, bounds) -> bool:
+    """lo < theta < hi in every coordinate, as one array comparison.
+
+    bounds comes from box_bounds; a single interval applies to every
+    coordinate.  NaN and infinite entries are never inside an open interval.
+    """
+    lo, hi = bounds
+    return bool(np.count_nonzero((lo < theta) & (theta < hi)) == theta.size)
 
 
 def _single(obs: Observation) -> Dataset:
@@ -222,6 +266,10 @@ class GaussianKnownMeanPrecision(ModelSpec):
     def fisher_grad(self, theta):
         th = float(theta[0])
         return np.array([[[-1.0 / th**3]]])
+
+    def fisher_hess(self, theta):
+        th = float(theta[0])
+        return np.array([[[[3.0 / th**4]]]])
 
     def skewness(self, theta):
         # third cumulant of T(y): psi'''(theta)
@@ -280,6 +328,13 @@ class PoissonSequence(ModelSpec):
         out = np.zeros((self.dim,) * 3)
         idx = np.arange(self.dim)
         out[idx, idx, idx] = -1.0 / lam**2
+        return out
+
+    def fisher_hess(self, theta):
+        lam = np.asarray(theta, dtype=float)
+        out = np.zeros((self.dim,) * 4)
+        idx = np.arange(self.dim)
+        out[idx, idx, idx, idx] = 2.0 / lam**3
         return out
 
     def skewness(self, theta):
@@ -352,7 +407,7 @@ class LogisticGLM(ModelSpec):
         x = self._design_for(data)
         p = sigmoid(x @ np.asarray(theta, dtype=float))
         w = p * (1.0 - p) * (1.0 - 2.0 * p)
-        return -np.einsum("i,ia,ib,ic->abc", w, x, x, x) / data.n
+        return -weighted_cube(x, w) / data.n
 
     def fisher(self, theta):
         x = self.design
@@ -360,11 +415,28 @@ class LogisticGLM(ModelSpec):
         w = p * (1.0 - p)
         return (x.T * w) @ x / x.shape[0]
 
+    @cached_property
+    def _design_outer(self):
+        # the design is fixed, and the MAP under a Jeffreys partner asks for
+        # fisher_grad and fisher_hess at every Newton step: (n, d*d), not n d^3
+        return _row_outer(self.design)
+
     def fisher_grad(self, theta):
         x = self.design
+        n, d = x.shape
         p = sigmoid(x @ np.asarray(theta, dtype=float))
         w = p * (1.0 - p) * (1.0 - 2.0 * p)
-        return np.einsum("i,ia,ib,ic->abc", w, x, x, x) / x.shape[0]
+        return ((x * w[:, None]).T @ self._design_outer).reshape(d, d, d) / n
+
+    def fisher_hess(self, theta):
+        # d^2/d eta^2 of w = p(1-p) is w (1 - 6w)
+        x = self.design
+        n, d = x.shape
+        p = sigmoid(x @ np.asarray(theta, dtype=float))
+        w = p * (1.0 - p)
+        outer = self._design_outer
+        quad = (outer * (w * (1.0 - 6.0 * w))[:, None]).T @ outer
+        return quad.reshape((d,) * 4) / n
 
     def skewness(self, theta):
         return self.fisher_grad(theta)
@@ -411,24 +483,24 @@ class MultivariateCauchyLocation(ModelSpec):
         return (self.dim + 1) * np.mean(u / denom[:, None], axis=0)
 
     def avg_hess(self, data, theta):
+        # mean of (-I D + 2 u u') / D^2 with D = 1 + |u|^2, as rank-1 sums
         u = data.responses - np.asarray(theta, dtype=float)
         denom = 1.0 + np.sum(u * u, axis=1)
-        eye = np.eye(self.dim)
-        h = (-eye[None] * denom[:, None, None]
-             + 2.0 * u[:, :, None] * u[:, None, :]) / denom[:, None, None] ** 2
-        return (self.dim + 1) * np.mean(h, axis=0)
+        r = u / denom[:, None]
+        h = 2.0 * (r.T @ r) / data.n
+        h[np.diag_indices(self.dim)] -= np.mean(1.0 / denom)
+        return (self.dim + 1) * h
 
     def avg_third(self, data, theta):
+        # mean of -2 sym(I x u) / D^2 + 8 u x u x u / D^3
         u = data.responses - np.asarray(theta, dtype=float)
         denom = 1.0 + np.sum(u * u, axis=1)
+        r = u / denom[:, None]
+        v = np.mean(r / denom[:, None], axis=0)
         eye = np.eye(self.dim)
-        t1 = (eye[None, :, :, None] * u[:, None, None, :]
-              + eye[None, :, None, :] * u[:, None, :, None]
-              + eye[None, None, :, :] * u[:, :, None, None])
-        uuu = u[:, :, None, None] * u[:, None, :, None] * u[:, None, None, :]
-        t = -2.0 * t1 / denom[:, None, None, None] ** 2 \
-            + 8.0 * uuu / denom[:, None, None, None] ** 3
-        return (self.dim + 1) * np.mean(t, axis=0)
+        sym = (eye[:, :, None] * v[None, None, :] + eye[:, None, :] * v[None, :, None]
+               + eye[None, :, :] * v[:, None, None])
+        return (self.dim + 1) * (8.0 * weighted_cube(r) / data.n - 2.0 * sym)
 
     def fisher(self, theta):
         # Monte Carlo expectation with a fixed internal seed, cached per point.

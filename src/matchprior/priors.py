@@ -17,8 +17,8 @@ from scipy.integrate import quad
 
 from .errors import FamilyMismatch, InvalidHyperparameter, SupportMismatch
 from .geometry import (GeometryReport, geometry_at, jeffreys_log_density,
-                       jeffreys_log_grad)
-from .models import ModelSpec
+                       jeffreys_log_grad, jeffreys_log_hess)
+from .models import ModelSpec, box_bounds, in_open_box
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,17 @@ class PriorSpec:
     # advisory lower bound for optimizers (e.g. the shrinkage-prior floor)
     opt_lower: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.support is not None:
+            object.__setattr__(self, "_bounds", box_bounds(self.support))
+
     def contains(self, theta) -> bool:
         if self.support is None:
             return True
         theta = np.atleast_1d(theta)
         if len(self.support) not in (1, theta.shape[0]):
             return False
-        sup = self.support if len(self.support) == theta.shape[0] \
-            else self.support * theta.shape[0]
-        return all(lo < v < hi for v, (lo, hi) in zip(theta, sup))
+        return in_open_box(theta, self._bounds)
 
 
 @dataclass(frozen=True)
@@ -183,48 +185,53 @@ def scale_prior(prior: PriorSpec, log_const: float) -> PriorSpec:
 # matching-pair constructors
 
 
-_EFLAT_FAMILIES = ("exponential-family-natural", "glm-canonical")
-_MFLAT_FAMILIES = ("exponential-family-mean",)
+# families whose coordinates are e-flat (power 1) or m-flat (power 2)
+_FLAT_FAMILIES = {1: ("e-flat", ("exponential-family-natural", "glm-canonical")),
+                  2: ("m-flat", ("exponential-family-mean",))}
+
+
+def jeffreys_power_partner(prior: PriorSpec, model: ModelSpec,
+                           power: int) -> PriorSpec:
+    """prior * pi_J^power, the matching partner in flat coordinates.
+
+    power -1 turns a PM prior into its MAP partner for e-flat coordinates and
+    -2 for m-flat ones; +1 and +2 go back from a MAP prior to the PM prior.
+    The partner has a closed-form log_hess whenever the prior has one.
+    """
+    if abs(power) not in _FLAT_FAMILIES:
+        raise ValueError(f"Jeffreys power must be 1 or 2 in size, got {power}")
+    flat, families = _FLAT_FAMILIES[abs(power)]
+    if model.family not in families:
+        raise FamilyMismatch(
+            f"family {model.family} is not {flat} in these coordinates")
+    k = float(power)
+    name = "jeffreys" if abs(power) == 1 else "jeffreys2"
+    log_hess = None
+    if prior.log_hess is not None:
+        def log_hess(th):
+            return prior.log_hess(th) + k * jeffreys_log_hess(model, th)
+    return PriorSpec(
+        prior.label + ("/" if power < 0 else "*") + name,
+        lambda th: prior.log_density(th) + k * jeffreys_log_density(model, th),
+        lambda th: prior.log_grad(th) + k * jeffreys_log_grad(model, th),
+        proper=False,
+        support=prior.support if prior.support is not None else list(model.support),
+        log_hess=log_hess)
 
 
 def eflat_map_partner(pm: PriorSpec, model: ModelSpec) -> PriorSpec:
     """MAP partner for e-flat coordinates: divide pm by the Jeffreys prior."""
-    if model.family not in _EFLAT_FAMILIES:
-        raise FamilyMismatch(
-            f"family {model.family} is not e-flat in these coordinates")
-    return PriorSpec(
-        pm.label + "/jeffreys",
-        lambda th: pm.log_density(th) - jeffreys_log_density(model, th),
-        lambda th: pm.log_grad(th) - jeffreys_log_grad(model, th),
-        proper=False,
-        support=pm.support if pm.support is not None else list(model.support))
+    return jeffreys_power_partner(pm, model, -1)
 
 
 def mflat_map_partner(pm: PriorSpec, model: ModelSpec) -> PriorSpec:
     """MAP partner for m-flat coordinates: divide pm by the squared Jeffreys prior."""
-    if model.family not in _MFLAT_FAMILIES:
-        raise FamilyMismatch(
-            f"family {model.family} is not m-flat in these coordinates")
-    return PriorSpec(
-        pm.label + "/jeffreys2",
-        lambda th: pm.log_density(th) - 2.0 * jeffreys_log_density(model, th),
-        lambda th: pm.log_grad(th) - 2.0 * jeffreys_log_grad(model, th),
-        proper=False,
-        support=pm.support if pm.support is not None else list(model.support))
+    return jeffreys_power_partner(pm, model, -2)
 
 
 def mflat_pm_partner(map_prior: PriorSpec, model: ModelSpec) -> PriorSpec:
     """Inverse direction of mflat_map_partner: the PM prior for a given MAP prior."""
-    if model.family not in _MFLAT_FAMILIES:
-        raise FamilyMismatch(
-            f"family {model.family} is not m-flat in these coordinates")
-    return PriorSpec(
-        map_prior.label + "*jeffreys2",
-        lambda th: map_prior.log_density(th) + 2.0 * jeffreys_log_density(model, th),
-        lambda th: map_prior.log_grad(th) + 2.0 * jeffreys_log_grad(model, th),
-        proper=False,
-        support=map_prior.support if map_prior.support is not None
-        else list(model.support))
+    return jeffreys_power_partner(map_prior, model, 2)
 
 
 def coords_multiplied(prior: PriorSpec, model: ModelSpec | None = None) -> PriorSpec:

@@ -209,6 +209,23 @@ def test_cli_sample_csv_format(tmp_path):
     assert len(lines) == 101
 
 
+def test_cli_komaki_sample_needs_plain_komaki_prior(tmp_path):
+    data = tmp_path / "y.csv"
+    data.write_text("y1,y2\n1,3\n2,0\n")
+    out = tmp_path / "draws.csv"
+    runner = CliRunner()
+    base = ["sample", "--sampler", "komaki-gibbs", "--data", str(data),
+            "--chain-length", "50", "--burnin", "10", "--out", str(out)]
+    res = runner.invoke(main, base + ["--prior", "komaki(3,2,0.001)"])
+    assert res.exit_code == 0, res.output
+    assert len(out.read_text().splitlines()) == 51
+    for text in ("komaki(3,2)/jeffreys2", "komaki(3,2)*coords", "komaki(3)",
+                 "komaki(a,b)", "gamma(2,1)"):
+        res = runner.invoke(main, base + ["--prior", text])
+        assert res.exit_code == 2, (text, res.output)
+        assert "plain komaki(beta,alpha[,floor])" in res.output
+
+
 def test_cli_run_byte_determinism(tmp_path):
     cfg = {"experiment": "logistic-s1", "n_grid": [16], "reps": 1, "seed": 9,
            "chain_length": 200, "burnin": 200}

@@ -4,9 +4,10 @@ import pytest
 import matchprior as mp
 from matchprior.errors import SingularFisher, StepTooLarge
 from matchprior.geometry import (alpha_connection, alpha_parallel_log_grad,
-                                 equiaffinity_residual, fisher_matrix_grad,
-                                 geometry_at, jeffreys_log_density,
-                                 jeffreys_log_grad)
+                                 central_difference, equiaffinity_residual,
+                                 fisher_matrix_grad, geometry_at,
+                                 jeffreys_log_density, jeffreys_log_grad,
+                                 jeffreys_log_hess)
 
 
 def _analytic_points(seed=0):
@@ -161,3 +162,30 @@ def test_report_to_dict_keys():
     d = rep.to_dict()
     assert set(d) == {"g", "g_inv", "gamma_e", "gamma_m", "T", "T_a", "at",
                       "method", "seed"}
+
+
+def test_jeffreys_log_hess_matches_fd_of_grad():
+    rng = np.random.default_rng(21)
+    design = rng.normal(size=(40, 3))
+    points = list(_analytic_points(5)) + [(mp.LogisticGLM(design),
+                                           0.3 * rng.normal(size=3))]
+    for model, theta in points:
+        assert model.fisher_hess(theta) is not None
+        hess = jeffreys_log_hess(model, theta)
+        fd = central_difference(lambda th: jeffreys_log_grad(model, th),
+                                theta, 1e-5)
+        assert np.allclose(hess, hess.T, atol=1e-14)
+        assert np.allclose(hess, fd, rtol=1e-6, atol=1e-8), model.name
+
+
+def test_jeffreys_log_hess_fd_fallback_without_fisher_hess():
+    class NoHess(mp.PoissonSequence):
+        def fisher_hess(self, theta):
+            return None
+
+    theta = np.array([1.2, 0.6])
+    analytic = jeffreys_log_hess(mp.PoissonSequence(2), theta)
+    # log pi_J = -(1/2) sum log lambda, so the Hessian is diag(1/(2 lambda^2))
+    assert np.allclose(analytic, np.diag(0.5 / theta**2), rtol=1e-12)
+    assert np.allclose(jeffreys_log_hess(NoHess(2), theta), analytic,
+                       rtol=1e-6)

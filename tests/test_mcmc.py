@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import matchprior as mp
-from matchprior.errors import InvalidHyperparameter, ZeroAcceptance
+from matchprior import mcmc
+from matchprior.errors import (InvalidHyperparameter, MatchPriorError,
+                               NonFiniteInput, ZeroAcceptance)
 from matchprior.mcmc import ChainConfig, batch_means_se, polya_gamma_1
 
 
@@ -33,6 +35,22 @@ def test_polya_gamma_sign_invariance_and_determinism():
     d1 = polya_gamma_1(np.random.default_rng(1), np.array([2.0, -2.0, 0.3]))
     d2 = polya_gamma_1(np.random.default_rng(1), np.array([2.0, 2.0, -0.3]))
     assert np.array_equal(d1, d2)
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+def test_polya_gamma_rejects_nonfinite_z_before_drawing():
+    # the alternating series never decides a NaN slot, so without the check
+    # the sampler would loop forever; _NoDraws turns that into a failure
+    for bad in ([0.5, np.nan], [np.inf], [-np.inf, 1.0]):
+        with pytest.raises(NonFiniteInput):
+            polya_gamma_1(_NoDraws(), np.array(bad))
+    assert issubclass(NonFiniteInput, MatchPriorError)
 
 
 def test_batch_means_se_iid_scale():
@@ -123,6 +141,27 @@ def test_pg_gibbs_determinism_and_prior_requirement():
     assert np.array_equal(c1.samples, c2.samples)
     with pytest.raises(InvalidHyperparameter):
         mp.polya_gamma_gibbs(design, y, mp.uniform_prior(), cfg)
+
+
+def test_pg_gibbs_rejects_priors_without_finite_precision(monkeypatch):
+    def no_sweep(rng, z):
+        raise AssertionError("a Gibbs sweep started")
+
+    monkeypatch.setattr(mcmc, "polya_gamma_1", no_sweep)
+    design = np.array([[1.0], [0.5], [-0.3]])
+    y = np.array([1.0, 0.0, 1.0])
+    cfg = ChainConfig(length=200, burnin=50, seed=12)
+    model = mp.LogisticGLM(design)
+    upturned = mp.PriorSpec("upturned", lambda th: float(th @ th),
+                            lambda th: 2.0 * th, proper=True,
+                            log_hess=lambda th: 2.0 * np.eye(th.shape[0]))
+    bad = [mp.gamma_prior(2, 1),      # infinite precision at 0
+           mp.invgamma_prior(2, 1),   # non-finite precision at 0
+           upturned,                  # negative definite precision
+           mp.eflat_map_partner(mp.normal_prior(0, 1), model)]  # improper
+    for prior in bad:
+        with pytest.raises(InvalidHyperparameter):
+            mp.polya_gamma_gibbs(design, y, prior, cfg)
 
 
 def test_komaki_gibbs_exact_d1():

@@ -241,3 +241,99 @@ def test_single_observation_interface_matches_vectorized():
     assert np.allclose(pois.grad_logp(obs, th), pois.avg_grad(d, th))
     assert np.allclose(pois.hess_logp(obs, th), pois.avg_hess(d, th))
     assert np.allclose(pois.third_logp(obs, th), pois.avg_third(d, th))
+
+
+def test_gemm_cube_matches_einsum_definition():
+    rng = np.random.default_rng(11)
+    for n, d in ((1, 1), (40, 2), (300, 5)):
+        x = rng.normal(size=(n, d))
+        data = mp.Dataset((rng.random(n) < 0.5).astype(float), x)
+        model = mp.LogisticGLM(x)
+        theta = 0.5 * rng.normal(size=d)
+        p = sigmoid(x @ theta)
+        w = p * (1 - p) * (1 - 2 * p)
+        ref = np.einsum("i,ia,ib,ic->abc", w, x, x, x) / n
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(model.fisher_grad(theta) - ref)) <= 1e-10 * scale
+        assert np.max(np.abs(model.avg_third(data, theta) + ref)) <= 1e-10 * scale
+
+
+def test_cauchy_kernels_d10_match_references():
+    rng = np.random.default_rng(12)
+    d = 10
+    model = mp.MultivariateCauchyLocation(d)
+    data = model.sample(np.zeros(d), 30, rng)
+    theta = 0.3 * rng.normal(size=d)
+    eye = np.eye(d)
+    hess_ref = np.zeros((d, d))
+    third_ref = np.zeros((d, d, d))
+    for y in data.responses:
+        # per-observation derivatives of -(d+1)/2 log(1 + |y - theta|^2)
+        u = y - theta
+        D = 1.0 + u @ u
+        hess_ref += (-eye * D + 2.0 * np.outer(u, u)) / D**2
+        sym = (np.einsum("ab,c->abc", eye, u) + np.einsum("ac,b->abc", eye, u)
+               + np.einsum("bc,a->abc", eye, u))
+        third_ref += (-2.0 * sym / D**2
+                      + 8.0 * np.einsum("a,b,c->abc", u, u, u) / D**3)
+    hess_ref *= (d + 1) / data.n
+    third_ref *= (d + 1) / data.n
+    hess = model.avg_hess(data, theta)
+    third = model.avg_third(data, theta)
+    assert np.max(np.abs(hess - hess_ref)) <= 1e-10 * np.max(np.abs(hess_ref))
+    assert np.max(np.abs(third - third_ref)) <= 1e-10 * np.max(np.abs(third_ref))
+    fd = mp.finite_diff_third(model, data, theta, 1e-4)
+    assert np.max(np.abs(third - fd)) < 1e-6
+
+
+def test_fisher_hess_matches_fd_of_fisher_grad():
+    rng = np.random.default_rng(13)
+    design = rng.normal(size=(50, 3))
+    cases = [(mp.GaussianKnownMeanPrecision(), np.array([1.3])),
+             (mp.PoissonSequence(3), np.array([0.5, 2.0, 4.0])),
+             (mp.LogisticGLM(design), 0.4 * rng.normal(size=3))]
+    for model, theta in cases:
+        d = model.dim
+        fd = np.zeros((d,) * 4)
+        for b in range(d):
+            h = 1e-5 * max(1.0, abs(theta[b]))
+            up, dn = theta.copy(), theta.copy()
+            up[b] += h
+            dn[b] -= h
+            fd[:, b] = (model.fisher_grad(up) - model.fisher_grad(dn)) / (2 * h)
+        d2g = model.fisher_hess(theta)
+        assert np.allclose(d2g, fd, rtol=1e-6, atol=1e-8), model.name
+        assert np.allclose(d2g, d2g.transpose(1, 0, 2, 3), atol=1e-14)
+        assert np.allclose(d2g, d2g.transpose(0, 1, 3, 2), atol=1e-14)
+    assert mp.MultivariateCauchyLocation(2).fisher_hess(np.zeros(2)) is None
+
+
+def _loop_in_support(theta, support):
+    return all(lo < v < hi for v, (lo, hi) in zip(theta, support))
+
+
+def test_vector_support_checks():
+    pois = mp.PoissonSequence(3)
+    logi = mp.LogisticGLM(np.ones((4, 2)))
+    nan, inf = np.nan, np.inf
+    for model, points in [
+            (pois, [[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 1.0, -1e-300],
+                    [1.0, inf, 1.0], [nan, 1.0, 1.0], [5e-324, 1e308, 1.0]]),
+            (logi, [[0.0, 0.0], [1e308, -1e308], [inf, 0.0], [0.0, -inf],
+                    [nan, 0.0]])]:
+        for th in points:
+            th = np.array(th)
+            assert model.in_support(th) is _loop_in_support(th, model.support)
+    assert not pois.in_support(np.ones(2))  # wrong length
+    # a prior support has one entry shared by all coordinates, or one each
+    one = mp.gamma_prior(2.0, 1.0)
+    each = mp.PriorSpec("box", lambda th: 0.0, lambda th: np.zeros(2), False,
+                        support=[(0.0, 1.0), (-1.0, inf)])
+    for th in ([0.5, 0.5], [1.0, 0.5], [0.5, -1.0], [0.5, inf], [nan, 0.5],
+               [1e-300, 1e300]):
+        th = np.array(th)
+        assert each.contains(th) is _loop_in_support(th, each.support)
+        assert one.contains(th) is _loop_in_support(th, one.support * 2)
+    assert not each.contains(np.ones(3))
+    assert one.contains(np.full(5, 0.1))
+    assert not one.contains(np.array([0.1, 0.0, 0.1]))

@@ -193,3 +193,44 @@ def test_parse_prior_grammar():
         parse_prior("jeffreys")  # needs a model
     with pytest.raises(ValueError):
         parse_prior("komaki(3,5)")  # needs a model for the dimension
+
+
+def _fd_hess(prior, theta, h=1e-6):
+    d = theta.shape[0]
+    out = np.zeros((d, d))
+    for a in range(d):
+        up, dn = theta.copy(), theta.copy()
+        up[a] += h
+        dn[a] -= h
+        out[a] = (prior.log_grad(up) - prior.log_grad(dn)) / (2 * h)
+    return 0.5 * (out + out.T)
+
+
+def test_jeffreys_power_partner_aliases_and_closed_form_hessian():
+    design = np.column_stack([np.linspace(-1, 1, 30), np.ones(30)])
+    cases = [(mp.GaussianKnownMeanPrecision(), mp.gamma_prior(2.0, 1.0), -1,
+              mp.eflat_map_partner, np.array([1.4])),
+             (mp.LogisticGLM(design), mp.normal_prior(0.0, 1.0), -1,
+              mp.eflat_map_partner, np.array([0.3, -0.7])),
+             (mp.PoissonSequence(2), mp.gamma_prior(2.0, 1.0), -2,
+              mp.mflat_map_partner, np.array([0.9, 2.1])),
+             (mp.PoissonSequence(2), mp.gamma_prior(2.0, 1.0), 2,
+              mp.mflat_pm_partner, np.array([0.9, 2.1]))]
+    for model, prior, power, alias, th in cases:
+        partner = mp.jeffreys_power_partner(prior, model, power)
+        via_alias = alias(prior, model)
+        assert via_alias.label == partner.label
+        assert np.array_equal(via_alias.log_grad(th), partner.log_grad(th))
+        assert np.array_equal(via_alias.log_hess(th), partner.log_hess(th))
+        assert np.allclose(partner.log_grad(th), prior.log_grad(th)
+                           + power * jeffreys_log_grad(model, th))
+        fd = _fd_hess(partner, th)
+        assert np.allclose(partner.log_hess(th), fd, rtol=1e-6, atol=1e-6), \
+            partner.label
+    # a prior without a closed-form Hessian gives a partner without one
+    flat = mp.eflat_map_partner(mp.uniform_prior(), mp.GaussianKnownMeanPrecision())
+    assert flat.log_hess is None
+    with pytest.raises(ValueError):
+        mp.jeffreys_power_partner(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(), 3)
+    with pytest.raises(FamilyMismatch):
+        mp.jeffreys_power_partner(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(), 1)
