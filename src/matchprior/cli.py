@@ -117,6 +117,8 @@ def geometry():
 @click.option("--data", "data_path", type=click.Path(exists=True), default=None)
 def geometry_dump(model_name, at_text, method, seed, draws, data_path):
     """Print metric, connections, and skewness at a point as JSON."""
+    if method == "mc" and seed is None:
+        raise click.UsageError("--method mc needs --seed")
     data = _load_data(data_path)
     model = build_model(model_name, data)
     theta = _parse_point(at_text)

@@ -8,9 +8,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (BoundaryPoint, BoundaryStuck, IndefiniteHessian,
-                     NotConverged, SingularFisher)
-from .geometry import central_difference, geometry_at, jeffreys_log_grad
-from .models import Dataset, ModelSpec, check_point, third_derivative_tensor
+                     NotConverged)
+from .geometry import _invert_metric, geometry_at, jeffreys_log_grad
+from .models import (Dataset, ModelSpec, central_difference, check_point,
+                     third_derivative_tensor)
 from .priors import PriorSpec
 
 _ARMIJO_C = 1e-4
@@ -212,14 +213,15 @@ def map_estimate(model: ModelSpec, data: Dataset, prior: PriorSpec, init=None,
 
 
 def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
-                          information: str = "auto", bounds=None,
+                          information: str = "fisher", bounds=None,
                           prior_gap=None) -> EstimateResult:
     """One-step posterior-mean calibration from a MAP estimate.
 
     Adds (1/2n) g^{ab} g^{cd} (1/n) sum_t d^3 log p(y_t) to the MAP point.
     Valid as stated when the posterior-mean and MAP priors coincide; the
     experimental prior_gap=(pm, map) option adds the general first-order gap
-    term (1/n) g^{ab} d_b log(pm/map).
+    term (1/n) g^{ab} d_b log(pm/map).  information picks g: "fisher" (the
+    model's Fisher metric) or "observed" (minus the average Hessian).
     """
     theta = check_point(model, np.asarray(map_est, dtype=float))
     if bounds is not None:
@@ -229,20 +231,13 @@ def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
         if hi is not None and np.any(theta >= np.asarray(hi, float) - 1e-10):
             raise BoundaryPoint("MAP estimate pinned to a bound; calibration invalid")
     n = data.n
-    if information == "auto":
-        information = "fisher" if model.fisher_mode == "analytic" else "observed"
     if information == "fisher":
         g = model.fisher(theta)
     elif information == "observed":
         g = -model.avg_hess(data, theta)
     else:
         raise ValueError(f"unknown information choice {information!r}")
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFisher(f"{information} information not PD at {theta}") from exc
-    g_inv = np.linalg.inv(g)
-    g_inv = 0.5 * (g_inv + g_inv.T)
+    g_inv = _invert_metric(g)
     t3 = third_derivative_tensor(model, data, theta)
     corr = 0.5 / n * np.einsum("ab,cd,bcd->a", g_inv, g_inv, t3)
     diag = {"information": information, "n": n}
@@ -263,13 +258,7 @@ def laplace_posterior_expectation(model: ModelSpec, data: Dataset,
     """
     theta = check_point(model, np.asarray(theta_hat, dtype=float))
     n = data.n
-    J = -model.avg_hess(data, theta)
-    try:
-        np.linalg.cholesky(J)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFisher("observed information not PD at the MLE") from exc
-    J_inv = np.linalg.inv(J)
-    J_inv = 0.5 * (J_inv + J_inv.T)
+    J_inv = _invert_metric(-model.avg_hess(data, theta))
     t3 = model.avg_third(data, theta)
     skew_vec = np.einsum("ab,cd,bcd->a", J_inv, J_inv, t3)
     pgrad = prior.log_grad(theta)

@@ -141,7 +141,7 @@ def _gap_row(experiment, n, rep, label, point, reference, seconds,
 def _error_row(experiment, n, rep, label, exc) -> dict:
     return {"experiment": experiment, "n": n, "rep": rep, "estimator": label,
             "estimate": "", "gap_l2": "", "gap_coords": "", "mc_se": "",
-            "status": f"error:{type(exc).__name__}", "seconds": ""}
+            "status": f"error:{type(exc).__name__}: {exc}", "seconds": ""}
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +326,7 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
     model = MultivariateCauchyLocation(d)
     prior = normal_prior(0.0, 100.0)
     rows = []
+    acceptance = []
     tag = f"cauchy-d{d}"
     for rep in range(config.reps):
         cell_seed = derived_seed(config.seed, d, n, rep)
@@ -345,6 +346,7 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
                                  seed=derived_seed(cell_seed, 1)),
                      proposal="gaussian", init=map_res.point)
         t_chain = time.perf_counter() - t0
+        acceptance.append(chain.acceptance_rate)
         ref = chain.posterior_mean
         for m in m_grid:
             part = chain.samples[:m]
@@ -356,7 +358,7 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
     return _write_outputs(config, rows,
                           {"dim": d, "n": n, "m_grid": list(m_grid),
                            "reference": f"rwmh-m{m_max}",
-                           "acceptance_rate": chain.acceptance_rate})
+                           "acceptance_rate": acceptance})
 
 
 # ---------------------------------------------------------------------------

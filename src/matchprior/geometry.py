@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularFisher, StepTooLarge
-from .models import ModelSpec, check_point
+from .models import ModelSpec, central_difference, check_point
 
 COND_LIMIT = 1e12
 
@@ -48,11 +48,19 @@ class GeometryReport:
 
 
 def _invert_metric(g):
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularFisher(f"Fisher matrix condition number {cond:.3g}")
-    g_inv = np.linalg.inv(g)
-    return 0.5 * (g_inv + g_inv.T)
+    """Inverse of a symmetric positive definite matrix from one eigh.
+
+    Raises SingularFisher unless g is finite, its eigenvalues are positive
+    and their ratio max/min is at most COND_LIMIT.
+    """
+    if not np.all(np.isfinite(g)):
+        raise SingularFisher("information matrix has non-finite entries")
+    w, v = np.linalg.eigh(g)
+    if not (w[0] > 0 and w[-1] <= COND_LIMIT * w[0]):
+        raise SingularFisher(f"information matrix eigenvalues span "
+                             f"[{w[0]:.3g}, {w[-1]:.3g}]: not positive definite "
+                             f"or condition number above {COND_LIMIT:.0e}")
+    return (v / w) @ v.T
 
 
 def geometry_at(model: ModelSpec, theta, method: str = "analytic",
@@ -72,6 +80,8 @@ def geometry_at(model: ModelSpec, theta, method: str = "analytic",
         elif model.family == "exponential-family-mean":
             gamma_m = np.zeros_like(T)
             gamma_e = -T
+        elif model.family == "cauchy-location":
+            gamma_e, gamma_m = np.zeros_like(T), np.zeros_like(T)
         else:
             raise ValueError(f"no analytic connection rule for family {model.family}")
         g_inv = _invert_metric(g)
@@ -106,25 +116,6 @@ def geometry_at(model: ModelSpec, theta, method: str = "analytic",
 def alpha_connection(report: GeometryReport, alpha: float) -> np.ndarray:
     """Gamma^(alpha) = Gamma^(m) - ((1+alpha)/2) T."""
     return report.gamma_m - 0.5 * (1.0 + alpha) * report.T
-
-
-def central_difference(fn, theta, h: float, in_support=None) -> np.ndarray:
-    """out[a] = (fn(theta + h_a e_a) - fn(theta - h_a e_a)) / (2 h_a).
-
-    The step is relative, h_a = h * max(1, |theta_a|).  With in_support given,
-    a probe outside it raises StepTooLarge.
-    """
-    out = []
-    for a in range(theta.shape[0]):
-        ha = h * max(1.0, abs(theta[a]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[a] += ha
-        dn[a] -= ha
-        if in_support is not None and not (in_support(up) and in_support(dn)):
-            raise StepTooLarge(f"difference probe left support at coordinate {a}")
-        out.append((fn(up) - fn(dn)) / (2.0 * ha))
-    return np.array(out)
 
 
 def fisher_matrix_grad(model: ModelSpec, theta, h: float = 1e-5) -> np.ndarray:
@@ -183,21 +174,14 @@ def equiaffinity_residual(model: ModelSpec, theta, h: float,
                           **geo_kwargs) -> np.ndarray:
     """Antisymmetric part of the finite-difference Jacobian of T_a.
 
-    Near-zero output certifies statistical equi-affinity locally.
+    Near-zero output certifies statistical equi-affinity locally.  The step
+    along coordinate a is relative, h * max(1, |theta_a|), so it equals h
+    wherever |theta_a| <= 1.
     """
     theta = check_point(model, theta)
     if h <= 0:
         raise StepTooLarge(f"step h={h} must be positive")
-    d = model.dim
-    jac = np.zeros((d, d))
-    for a in range(d):
-        up = theta.copy()
-        dn = theta.copy()
-        up[a] += h
-        dn[a] -= h
-        if not (model.in_support(up) and model.in_support(dn)):
-            raise StepTooLarge(f"equi-affinity probe left support at coordinate {a}")
-        t_up = geometry_at(model, up, **geo_kwargs).T_contracted
-        t_dn = geometry_at(model, dn, **geo_kwargs).T_contracted
-        jac[a] = (t_up - t_dn) / (2.0 * h)
+    jac = central_difference(
+        lambda th: geometry_at(model, th, **geo_kwargs).T_contracted, theta, h,
+        model.in_support)
     return jac - jac.T

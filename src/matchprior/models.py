@@ -9,7 +9,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,8 +161,6 @@ class ModelSpec:
         raise NotImplementedError
 
     # -- geometry hooks ----------------------------------------------------
-    fisher_mode: str = "analytic"  # or "expectation-required"
-
     def fisher(self, theta) -> np.ndarray:
         raise NotImplementedError
 
@@ -456,16 +453,11 @@ class MultivariateCauchyLocation(ModelSpec):
     """d-variate Cauchy with unknown location and identity scale matrix."""
 
     family = "cauchy-location"
-    fisher_mode = "expectation-required"
 
-    def __init__(self, dim, fisher_seed=20240901, fisher_draws=1_000_000):
+    def __init__(self, dim):
         self.dim = dim
         self.name = f"cauchy-{dim}"
         self.support = [(-np.inf, np.inf)] * dim
-        self._fisher_seed = fisher_seed
-        self._fisher_draws = fisher_draws
-        self._fisher_cache: dict = {}
-        self._cache_lock = threading.Lock()
 
     def _log_const(self):
         d = self.dim
@@ -503,22 +495,14 @@ class MultivariateCauchyLocation(ModelSpec):
         return (self.dim + 1) * (8.0 * weighted_cube(r) / data.n - 2.0 * sym)
 
     def fisher(self, theta):
-        # Monte Carlo expectation with a fixed internal seed, cached per point.
-        key = tuple(np.round(np.asarray(theta, dtype=float), 10))
-        with self._cache_lock:
-            hit = self._fisher_cache.get(key)
-        if hit is not None:
-            return hit
-        rng = np.random.default_rng(self._fisher_seed)
-        data = self.sample(theta, self._fisher_draws, rng)
-        u = data.responses - np.asarray(theta, dtype=float)
-        denom = 1.0 + np.sum(u * u, axis=1)
-        score = (self.dim + 1) * u / denom[:, None]
-        g = score.T @ score / self._fisher_draws
-        g = 0.5 * (g + g.T)
-        with self._cache_lock:
-            self._fisher_cache.setdefault(key, g)
-        return g
+        # multivariate t with nu = 1 (Lange, Little & Taylor 1989): a constant
+        # metric, so its derivatives fall back to central differences of 0
+        d = self.dim
+        return (d + 1) / (d + 3) * np.eye(d)
+
+    def skewness(self, theta):
+        # the density is symmetric about theta, so every odd score moment is 0
+        return np.zeros((self.dim,) * 3)
 
     def sample(self, theta, n, rng):
         z = rng.normal(size=(n, self.dim))
@@ -563,21 +547,36 @@ def third_derivative_tensor(model: ModelSpec, data: Dataset, theta) -> np.ndarra
     return t
 
 
+def central_difference(fn, theta, h: float, in_support=None) -> np.ndarray:
+    """out[a] = (fn(theta + h_a e_a) - fn(theta - h_a e_a)) / (2 h_a).
+
+    The step is relative, h_a = h * max(1, |theta_a|).  With in_support given,
+    a probe outside it raises StepTooLarge.
+    """
+    out = []
+    for a in range(theta.shape[0]):
+        ha = h * max(1.0, abs(theta[a]))
+        up = theta.copy()
+        dn = theta.copy()
+        up[a] += ha
+        dn[a] -= ha
+        if in_support is not None and not (in_support(up) and in_support(dn)):
+            raise StepTooLarge(f"difference probe left support at coordinate {a}")
+        out.append((fn(up) - fn(dn)) / (2.0 * ha))
+    return np.array(out)
+
+
 def finite_diff_third(model: ModelSpec, data: Dataset, theta, h: float) -> np.ndarray:
-    """Central finite differences of avg_hess; symmetrized fallback oracle."""
+    """Central finite differences of avg_hess; symmetrized fallback oracle.
+
+    The step along coordinate a is relative, h * max(1, |theta_a|), so it
+    equals h wherever |theta_a| <= 1.
+    """
     theta = check_point(model, theta)
     if h <= 0:
         raise StepTooLarge(f"step h={h} must be positive")
-    d = model.dim
-    out = np.zeros((d, d, d))
-    for a in range(d):
-        up = theta.copy()
-        dn = theta.copy()
-        up[a] += h
-        dn[a] -= h
-        if not (model.in_support(up) and model.in_support(dn)):
-            raise StepTooLarge(f"probe along coordinate {a} left the support")
-        out[a] = (model.avg_hess(data, up) - model.avg_hess(data, dn)) / (2.0 * h)
+    out = central_difference(lambda th: model.avg_hess(data, th), theta, h,
+                             model.in_support)
     # symmetrize over all index orders
     sym = (out + out.transpose(1, 0, 2) + out.transpose(1, 2, 0)
            + out.transpose(0, 2, 1) + out.transpose(2, 0, 1)

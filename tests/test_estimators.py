@@ -90,12 +90,14 @@ def test_calibrate_information_choices():
     assert fisher.point[0] == pytest.approx(observed.point[0], rel=1e-12)
     with pytest.raises(ValueError):
         mp.calibrate_pm_from_map(mp.PoissonRate(), data, th, information="bad")
-    # Cauchy has no analytic Fisher mode: auto must pick the observed surrogate
+    # Cauchy has a closed-form Fisher metric, so the default uses it
     model = mp.MultivariateCauchyLocation(2)
     rng = np.random.default_rng(2)
     dc = model.sample(np.zeros(2), 10, rng)
-    auto = mp.calibrate_pm_from_map(model, dc, np.zeros(2))
-    assert auto.diagnostics["information"] == "observed"
+    default = mp.calibrate_pm_from_map(model, dc, np.zeros(2))
+    assert default.diagnostics["information"] == "fisher"
+    with pytest.raises(ValueError):
+        mp.calibrate_pm_from_map(model, dc, np.zeros(2), information="auto")
 
 
 def test_calibrate_boundary_point_rejected():

@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 import matchprior as mp
+from matchprior import experiments
 from matchprior.cli import main
+from matchprior.errors import InvalidHyperparameter
 from matchprior.experiments import (ExperimentConfig, derived_seed,
                                     logistic_design, logistic_scenario_data,
                                     shrinkage_rates)
@@ -119,7 +121,7 @@ def test_shrinkage_csv_generator(tmp_path):
 
 def test_cauchy_run_trajectory(tmp_path):
     cfg = ExperimentConfig(experiment="cauchy-calibration",
-                           out=str(tmp_path), reps=1, seed=4, dim=3,
+                           out=str(tmp_path), reps=2, seed=4, dim=3,
                            extra={"m_grid": [500, 2000],
                                   "mcmc_burnin": 500, "n": 8})
     out = mp.run_cauchy_calibration(cfg)
@@ -128,6 +130,20 @@ def test_cauchy_run_trajectory(tmp_path):
     assert labels == {"map", "calibrated", "rwmh-m500", "rwmh-m2000"}
     meta = json.loads((out / "meta.json").read_text())
     assert meta["reference"] == "rwmh-m2000"
+    assert len(meta["acceptance_rate"]) == 2
+    assert all(0.0 < a < 1.0 for a in meta["acceptance_rate"])
+
+
+def test_error_rows_keep_the_message(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise InvalidHyperparameter("prior precision at 0, not finite")
+
+    monkeypatch.setattr(experiments, "polya_gamma_gibbs", fail)
+    cfg = ExperimentConfig(experiment="logistic-s1", out=str(tmp_path),
+                           n_grid=(16,), reps=1, seed=5)
+    rows = _read_records(mp.run_logistic_synthetic(1, cfg))
+    assert [r["status"] for r in rows] == [
+        "error:InvalidHyperparameter: prior precision at 0, not finite"]
 
 
 def test_timing_run(tmp_path):
@@ -192,6 +208,19 @@ def test_cli_geometry_dump():
     rep = json.loads(res.output)
     assert rep["g"][0][0] == pytest.approx(0.5)
     assert rep["gamma_m"][0][0][0] == 0.0
+
+    res = runner.invoke(main, ["geometry", "dump", "--model", "poisson",
+                               "--at", "2.0", "--method", "mc"])
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+
+    res = runner.invoke(main, ["geometry", "dump", "--model", "cauchy:3",
+                               "--at", "0,0,0"])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert rep["method"] == "analytic"
+    assert np.array_equal(rep["g"], 4 / 6 * np.eye(3))
+    assert not np.any(rep["T"])
 
 
 def test_cli_sample_csv_format(tmp_path):

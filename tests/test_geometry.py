@@ -3,11 +3,11 @@ import pytest
 
 import matchprior as mp
 from matchprior.errors import SingularFisher, StepTooLarge
-from matchprior.geometry import (alpha_connection, alpha_parallel_log_grad,
-                                 central_difference, equiaffinity_residual,
-                                 fisher_matrix_grad, geometry_at,
-                                 jeffreys_log_density, jeffreys_log_grad,
-                                 jeffreys_log_hess)
+from matchprior.geometry import (COND_LIMIT, _invert_metric, alpha_connection,
+                                 alpha_parallel_log_grad, central_difference,
+                                 equiaffinity_residual, fisher_matrix_grad,
+                                 geometry_at, jeffreys_log_density,
+                                 jeffreys_log_grad, jeffreys_log_hess)
 
 
 def _analytic_points(seed=0):
@@ -155,6 +155,21 @@ def test_singular_fisher_raises():
     model = mp.LogisticGLM(design)
     with pytest.raises(SingularFisher):
         geometry_at(model, np.zeros(2))
+
+
+def test_invert_metric_spd_only():
+    rng = np.random.default_rng(4)
+    for d in range(1, 11):
+        a = rng.normal(size=(d, d))
+        g = a @ a.T + d * np.eye(d)
+        ref = np.linalg.inv(g)
+        err = np.linalg.norm(_invert_metric(g) - ref) / np.linalg.norm(ref)
+        assert err < 1e-13, d
+    for bad in (np.array([[1.0, 2.0], [2.0, 1.0]]),
+                np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                np.diag([1.0, 10.0 * COND_LIMIT])):
+        with pytest.raises(SingularFisher):
+            _invert_metric(bad)
 
 
 def test_report_to_dict_keys():

@@ -193,14 +193,24 @@ def test_cauchy_sample_and_median_init():
     assert np.max(np.abs(init - np.array([1.0, -2.0, 0.5]))) < 0.2
 
 
-def test_cauchy_mc_fisher_cached_and_sane():
-    model = mp.MultivariateCauchyLocation(2, fisher_draws=200_000)
-    g1 = model.fisher(np.zeros(2))
-    g2 = model.fisher(np.zeros(2))
-    assert g1 is g2
-    # location family: g is constant and proportional to the identity
-    assert np.allclose(g1, g1[0, 0] * np.eye(2), atol=5e-3)
-    assert g1[0, 0] > 0
+def test_cauchy_closed_form_geometry_matches_monte_carlo():
+    # g = (d+1)/(d+3) I and T = Gamma^e = 0 check the generic Monte Carlo path
+    for d in (1, 3):
+        model = mp.MultivariateCauchyLocation(d)
+        theta = np.linspace(-1.0, 2.0, d)
+        exact = mp.geometry_at(model, theta)
+        assert np.array_equal(exact.g, (d + 1) / (d + 3) * np.eye(d))
+        assert not exact.T.any() and not exact.gamma_e.any()
+        assert not exact.gamma_m.any()
+        rep = mp.geometry_at(model, theta, method="mc", seed=8, draws=100_000)
+        for name, value in (("g", exact.g), ("gamma_e", 0.0), ("T", 0.0)):
+            se = np.maximum(rep.mc_se[name], 1e-12)
+            assert np.all(np.abs(getattr(rep, name) - value) < 4.0 * se), name
+        prior = mp.normal_prior(0.0, 100.0)
+        pair = mp.MatchingPair(prior, prior, "verified-by-residual")
+        assert not mp.matching_residual(pair, model, theta).any()
+    assert np.array_equal(mp.MultivariateCauchyLocation(10).fisher(np.ones(10)),
+                          11 / 13 * np.eye(10))
 
 
 def test_csv_loaders(tmp_path):
