@@ -24,7 +24,8 @@ from .priors import (MatchingPair, PriorSpec, alpha_pair_target_grad,
                      komaki_prior, matching_pair_1d, matching_residual,
                      mflat_map_partner, mflat_pm_partner, normal_prior,
                      parse_prior, uniform_prior)
-from .estimators import (EstimateResult, Statistic, calibrate_pm_from_map,
+from .estimators import (EstimateResult, LogPosterior, Statistic,
+                         calibrate_pm_from_map,
                          coordinate_statistic, identity_statistics,
                          laplace_posterior_expectation, map_estimate, mle,
                          statistic_matching_residual)

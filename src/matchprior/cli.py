@@ -96,7 +96,18 @@ def _komaki_args(prior_text: str) -> tuple[float, float]:
     return args[0], args[1]
 
 
-@click.group()
+class _Cli(click.Group):
+    """The library rejects malformed input with ValueError; the command line
+    reports it as a usage error (exit code 2) instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Cli)
 def main():
     """Matching prior pairs: geometry, estimation, sampling, and experiments."""
 
@@ -148,21 +159,17 @@ def estimate(model_name, prior_text, method, data_path, banknote, bound_lo,
     model = build_model(model_name, data)
     prior = parse_prior(prior_text, model) if prior_text else None
     bounds = (bound_lo, None) if bound_lo is not None else None
+    if method != "mle" and prior is None:
+        raise click.UsageError(f"{method} needs --prior")
     if method == "mle":
         res = mle(model, data, tol=tol)
     elif method == "map":
-        if prior is None:
-            raise click.UsageError("map needs --prior")
         res = map_estimate(model, data, prior, tol=tol, bounds=bounds)
     elif method == "calibrate":
-        if prior is None:
-            raise click.UsageError("calibrate needs --prior")
         map_res = map_estimate(model, data, prior, tol=tol, bounds=bounds)
         res = calibrate_pm_from_map(model, data, map_res.point, bounds=bounds)
         res.diagnostics["map_point"] = map_res.point
     else:
-        if prior is None:
-            raise click.UsageError("laplace needs --prior")
         mle_res = mle(model, data, tol=tol)
         point = laplace_posterior_expectation(model, data, prior, None,
                                               mle_res.point)

@@ -9,10 +9,10 @@ import numpy as np
 
 from .errors import (BoundaryPoint, BoundaryStuck, IndefiniteHessian,
                      NotConverged)
-from .geometry import _invert_metric, geometry_at, jeffreys_log_grad
+from .geometry import _invert_metric
 from .models import (Dataset, ModelSpec, central_difference, check_point,
                      third_derivative_tensor)
-from .priors import PriorSpec
+from .priors import MatchingPair, PriorSpec, matching_residual, uniform_prior
 
 _ARMIJO_C = 1e-4
 _BOUND_EPS = 1e-12
@@ -49,18 +49,45 @@ def identity_statistics(dim: int) -> list[Statistic]:
 
 
 # ---------------------------------------------------------------------------
+# the log posterior density
+
+
+@dataclass(frozen=True)
+class LogPosterior:
+    """The log posterior n * avg log-likelihood + log prior, whose mode is the
+    MAP and whose mean the posterior mean.  Model methods are looked up on
+    every call, so a method rebound on the model class is the one used."""
+
+    model: ModelSpec
+    data: Dataset
+    prior: PriorSpec
+
+    def contains(self, theta) -> bool:
+        return self.model.in_support(theta) and self.prior.contains(theta)
+
+    def value(self, theta) -> float:
+        """The log density; -inf outside the model or the prior support."""
+        if not self.contains(theta):
+            return -np.inf
+        return (self.data.n * self.model.avg_loglik(self.data, theta)
+                + self.prior.log_density(theta))
+
+    def grad(self, theta) -> np.ndarray:
+        return (self.data.n * self.model.avg_grad(self.data, theta)
+                + self.prior.log_grad(theta))
+
+    def hess(self, theta) -> np.ndarray:
+        """The Hessian; central differences of the prior's log_grad stand in
+        for a prior without a closed-form log_hess."""
+        model_hess = self.data.n * self.model.avg_hess(self.data, theta)
+        if self.prior.log_hess is not None:
+            return model_hess + self.prior.log_hess(theta)
+        prior_hess = central_difference(self.prior.log_grad, theta, 1e-6)
+        return model_hess + 0.5 * (prior_hess + prior_hess.T)
+
+
+# ---------------------------------------------------------------------------
 # Newton-type maximization with optional box bounds
-
-
-def _prior_hess(prior: PriorSpec, theta, h=1e-6):
-    if prior.log_hess is not None:
-        return prior.log_hess(theta)
-    out = central_difference(prior.log_grad, theta, h)
-    return 0.5 * (out + out.T)
-
-
-def _project(theta, lower, upper):
-    return np.clip(theta, lower, upper)
 
 
 def _newton_direction(neg_hess, grad):
@@ -80,22 +107,20 @@ def _newton_direction(neg_hess, grad):
     raise IndefiniteHessian("could not regularize the Hessian into an ascent direction")
 
 
-def _maximize(value_fn, grad_fn, hess_fn, init, tol, max_iter, in_support,
-              lower=None, upper=None):
+def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
+    """Projected Newton ascent of post.value; a bound is a scalar, a
+    per-coordinate array or None (unbounded)."""
     theta = np.asarray(init, dtype=float).copy()
     d = theta.shape[0]
-    lower = np.full(d, -np.inf) if lower is None else np.asarray(lower, float)
-    upper = np.full(d, np.inf) if upper is None else np.asarray(upper, float)
-    theta = _project(theta, lower, upper)
+    lower = np.broadcast_to(-np.inf if lower is None else lower, d).astype(float)
+    upper = np.broadcast_to(np.inf if upper is None else upper, d).astype(float)
+    theta = np.clip(theta, lower, upper)
     used_ridge = False
-    lo_thr = np.full(d, -np.inf)
-    fin = np.isfinite(lower)
-    lo_thr[fin] = lower[fin] + _BOUND_EPS * np.maximum(1.0, np.abs(lower[fin]))
-    hi_thr = np.full(d, np.inf)
-    fin = np.isfinite(upper)
-    hi_thr[fin] = upper[fin] - _BOUND_EPS * np.maximum(1.0, np.abs(upper[fin]))
+    # nan_to_num keeps the margin finite, so an infinite bound stays infinite
+    lo_thr = lower + _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(lower)))
+    hi_thr = upper - _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(upper)))
     for it in range(1, max_iter + 1):
-        g = grad_fn(theta)
+        g = post.grad(theta)
         at_lo = theta <= lo_thr
         at_hi = theta >= hi_thr
         pinned = (at_lo & (g < 0)) | (at_hi & (g > 0))
@@ -109,47 +134,37 @@ def _maximize(value_fn, grad_fn, hess_fn, init, tol, max_iter, in_support,
             return theta, {"iterations": it - 1, "final_grad_norm": gnorm,
                            "converged": True, "bound_active": bool(np.any(pinned)),
                            "ridge_used": used_ridge}
-        h_full = hess_fn(theta)
+        h_full = post.hess(theta)
         idx = np.where(free)[0]
         step_free, ridged = _newton_direction(-h_full[np.ix_(idx, idx)], g[idx])
         used_ridge = used_ridge or ridged
         step = np.zeros(d)
         step[idx] = step_free
-        f0 = value_fn(theta)
+        f0 = post.value(theta)
         # in the quadratic endgame the predicted gain falls below the float
         # resolution of f0; line search cannot verify it, so trust Newton
         if np.dot(g, step) <= 1e-12 * max(1.0, abs(f0)):
-            trial = _project(theta + step, lower, upper)
-            if in_support(trial) and np.isfinite(value_fn(trial)):
+            trial = np.clip(theta + step, lower, upper)
+            if np.isfinite(post.value(trial)):
                 theta = trial
                 continue
-        t = 1.0
-        ok = False
-        for _ in range(60):
-            trial = _project(theta + t * step, lower, upper)
-            if in_support(trial):
-                disp = trial - theta
-                f1 = value_fn(trial)
-                if np.isfinite(f1) and f1 >= f0 + _ARMIJO_C * np.dot(g, disp):
-                    theta = trial
-                    ok = True
-                    break
-            t *= 0.5
-        if not ok:
+        for k in range(60):
+            trial = np.clip(theta + 0.5**k * step, lower, upper)
+            f1 = post.value(trial)
+            if np.isfinite(f1) and f1 >= f0 + _ARMIJO_C * np.dot(g, trial - theta):
+                break
+        else:
             # Newton direction failed in line search; retry with plain gradient.
             t = 1.0 / max(1.0, np.linalg.norm(g))
-            for _ in range(60):
-                trial = _project(theta + t * g, lower, upper)
-                if in_support(trial):
-                    f1 = value_fn(trial)
-                    if np.isfinite(f1) and f1 > f0:
-                        theta = trial
-                        ok = True
-                        break
-                t *= 0.5
-            if not ok:
+            for k in range(60):
+                trial = np.clip(theta + t * 0.5**k * g, lower, upper)
+                f1 = post.value(trial)
+                if np.isfinite(f1) and f1 > f0:
+                    break
+            else:
                 raise IndefiniteHessian(
                     "neither Newton nor gradient ascent could make progress")
+        theta = trial
     raise NotConverged(f"no convergence in {max_iter} iterations",
                        result=EstimateResult(theta, "MLE",
                                              {"iterations": max_iter,
@@ -162,15 +177,15 @@ def _maximize(value_fn, grad_fn, hess_fn, init, tol, max_iter, in_support,
 
 def mle(model: ModelSpec, data: Dataset, init=None, tol: float = 1e-8,
         max_iter: int = 500) -> EstimateResult:
-    """Maximum-likelihood estimate by damped Newton ascent."""
+    """Maximum-likelihood estimate by damped Newton ascent.
+
+    The objective is the log-likelihood sum, so tol is scaled by n.
+    """
     if init is None:
         init = model.default_init(data)
     init = check_point(model, init)
-    theta, diag = _maximize(
-        lambda th: model.avg_loglik(data, th),
-        lambda th: model.avg_grad(data, th),
-        lambda th: model.avg_hess(data, th),
-        init, tol, max_iter, model.in_support)
+    theta, diag = _maximize(LogPosterior(model, data, uniform_prior()), init,
+                            tol * data.n, max_iter)
     return EstimateResult(theta, "MLE", diag)
 
 
@@ -182,32 +197,17 @@ def map_estimate(model: ModelSpec, data: Dataset, prior: PriorSpec, init=None,
     bounds, if given, is a (lower, upper) pair of per-coordinate arrays (use
     None entries for unbounded sides); optimization is projected Newton.
     """
-    n = data.n
     if init is None:
         init = model.default_init(data)
-    init = np.asarray(init, dtype=float)
-    lower = upper = None
-    if bounds is None and prior.opt_lower is not None:
+    if bounds is None:
         bounds = (prior.opt_lower, None)
-    if bounds is not None:
-        lo, hi = bounds
-        lower = None if lo is None else np.broadcast_to(
-            np.asarray(lo, float), (model.dim,)).copy()
-        upper = None if hi is None else np.broadcast_to(
-            np.asarray(hi, float), (model.dim,)).copy()
-        if lower is not None:
-            init = np.maximum(init, lower)
-        if upper is not None:
-            init = np.minimum(init, upper)
-
-    def inside(th):
-        return model.in_support(th) and prior.contains(th)
-
-    theta, diag = _maximize(
-        lambda th: n * model.avg_loglik(data, th) + prior.log_density(th),
-        lambda th: n * model.avg_grad(data, th) + prior.log_grad(th),
-        lambda th: n * model.avg_hess(data, th) + _prior_hess(prior, th),
-        init, tol, max_iter, inside, lower, upper)
+    try:
+        theta, diag = _maximize(LogPosterior(model, data, prior), init, tol,
+                                max_iter, *bounds)
+    except NotConverged as exc:
+        exc.result.method = "MAP"
+        exc.result.diagnostics["prior"] = prior.label
+        raise
     diag["prior"] = prior.label
     return EstimateResult(theta, "MAP", diag)
 
@@ -290,8 +290,6 @@ def statistic_matching_residual(model: ModelSpec, prior_pm: PriorSpec,
     expectation of f matches f at the MAP estimate to first order.
     """
     theta = check_point(model, np.asarray(theta, dtype=float))
-    rep = geometry_at(model, theta, **geo_kwargs)
-    jeff = jeffreys_log_grad(model, theta)
-    delta = (prior_pm.log_grad(theta) - prior_map.log_grad(theta) - jeff
-             - 0.5 * np.einsum("cd,cdb->b", rep.g_inv, rep.gamma_e))
+    pair = MatchingPair(prior_pm, prior_map, "verified-by-residual")
+    delta = matching_residual(pair, model, theta, **geo_kwargs)
     return np.outer(f.grad(theta), delta) - 0.5 * f.hess(theta)

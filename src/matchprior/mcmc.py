@@ -14,6 +14,7 @@ from scipy.special import log_ndtr
 
 from .errors import (InvalidHyperparameter, NonFiniteInput, SingularPrecision,
                      ZeroAcceptance)
+from .estimators import LogPosterior
 from .models import Dataset, ModelSpec
 from .priors import PriorSpec
 
@@ -120,24 +121,18 @@ def rwmh_target(log_target, init, config: ChainConfig, proposal="gaussian",
 def rwmh(model: ModelSpec, data: Dataset, prior: PriorSpec, config: ChainConfig,
          proposal: str = "gaussian", init=None) -> ChainOutput:
     """Metropolis chain targeting exp(n * avg log-likelihood + log prior)."""
-    n = data.n
     if init is None:
         init = model.default_init(data)
     init = np.asarray(init, dtype=float)
-
-    def log_target(th):
-        if not (model.in_support(th) and prior.contains(th)):
-            return -np.inf
-        return n * model.avg_loglik(data, th) + prior.log_density(th)
-
     chol_scale = None
     if proposal == "gaussian":
-        j = -n * model.avg_hess(data, init)
+        j = -data.n * model.avg_hess(data, init)
         try:
             chol_scale = np.linalg.cholesky(np.linalg.inv(j))
         except np.linalg.LinAlgError:
             chol_scale = None
-    return rwmh_target(log_target, init, config, proposal, chol_scale)
+    return rwmh_target(LogPosterior(model, data, prior).value, init, config,
+                       proposal, chol_scale)
 
 
 # ---------------------------------------------------------------------------

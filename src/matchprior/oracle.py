@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidHyperparameter, TailNotDecaying, ToleranceNotMet
-from .estimators import Statistic, mle
+from .estimators import LogPosterior, Statistic, mle
 from .models import Dataset, ModelSpec
 from .priors import PriorSpec
 
@@ -74,7 +74,6 @@ def quad_posterior_expectation(model: ModelSpec, data: Dataset,
     d = model.dim
     if d > 3:
         raise ValueError("quadrature oracle supports dimension <= 3")
-    n = data.n
     maps = _coordinate_maps(model)
 
     try:
@@ -84,12 +83,10 @@ def quad_posterior_expectation(model: ModelSpec, data: Dataset,
     u0 = np.array([np.log(center_theta[i]) if maps[i][0] == "exp"
                    else center_theta[i] for i in range(d)])
 
+    post = LogPosterior(model, data, prior)
+
     def log_weight(u):
-        th = _to_theta(u, maps)
-        if not (model.in_support(th) and prior.contains(th)):
-            return -np.inf
-        return (n * model.avg_loglik(data, th) + prior.log_density(th)
-                + _log_jacobian(u, maps))
+        return post.value(_to_theta(u, maps)) + _log_jacobian(u, maps)
 
     ref = log_weight(u0)
     if not np.isfinite(ref):

@@ -64,7 +64,8 @@ def uniform_prior(label="uniform") -> PriorSpec:
     return PriorSpec(label,
                      lambda th: 0.0,
                      lambda th: np.zeros(np.atleast_1d(th).shape[0]),
-                     proper=False)
+                     proper=False,
+                     log_hess=lambda th: np.zeros((np.atleast_1d(th).shape[0],) * 2))
 
 
 def normal_prior(mean=0.0, var=1.0, label=None) -> PriorSpec:

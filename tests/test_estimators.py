@@ -3,7 +3,7 @@ import pytest
 
 import matchprior as mp
 from matchprior.errors import (BoundaryPoint, BoundaryStuck, NotConverged,
-                               SingularFisher)
+                               SingularFisher, SupportMismatch)
 from matchprior.estimators import Statistic, coordinate_statistic
 
 
@@ -64,6 +64,13 @@ def test_not_converged_carries_partial_result():
     with pytest.raises(NotConverged) as exc:
         mp.mle(mp.PoissonRate(), data, init=np.array([50.0]), max_iter=1)
     assert exc.value.result is not None
+    assert not exc.value.result.diagnostics["converged"]
+    assert exc.value.result.method == "MLE"
+    with pytest.raises(NotConverged) as exc:
+        mp.map_estimate(mp.PoissonRate(), data, mp.gamma_prior(2.0, 1.0),
+                        init=np.array([50.0]), max_iter=1)
+    assert exc.value.result.method == "MAP"
+    assert exc.value.result.diagnostics["prior"] == "gamma(2,1)"
     assert not exc.value.result.diagnostics["converged"]
 
 
@@ -197,3 +204,102 @@ def test_identity_statistics_shapes():
     assert [s.value(th) for s in stats] == [1.0, 2.0, 3.0]
     assert np.allclose(stats[1].grad(th), [0, 1, 0])
     assert np.allclose(stats[2].hess(th), np.zeros((3, 3)))
+
+
+def test_statistic_matching_residual_builds_on_matching_residual():
+    model = mp.PoissonSequence(2)
+    pm = mp.gamma_prior(2.0, 1.0)
+    mq = mp.gamma_prior(3.0, 0.5)
+    th = np.array([0.7, 1.9])
+    delta = mp.matching_residual(mp.MatchingPair(pm, mq, "test"), model, th)
+    for i, stat in enumerate(mp.identity_statistics(2)):
+        r = mp.statistic_matching_residual(model, pm, mq, stat, th)
+        assert np.array_equal(r[i], delta)
+    # a point inside the model support but outside a prior box
+    box = mp.PriorSpec("box", lambda t: 0.0, lambda t: np.zeros(1), True,
+                       support=[(0.0, 1.0)])
+    with pytest.raises(SupportMismatch):
+        mp.statistic_matching_residual(mp.PoissonRate(), box, pm,
+                                       coordinate_statistic(0, 1),
+                                       np.array([2.0]))
+
+
+def _central(fn, theta, h=1e-6):
+    """Central differences of fn along each coordinate, stacked by row."""
+    rows = []
+    for a in range(theta.shape[0]):
+        step = np.zeros_like(theta)
+        step[a] = h
+        rows.append((np.asarray(fn(theta + step)) - np.asarray(fn(theta - step)))
+                    / (2 * h))
+    return np.array(rows)
+
+
+def _logistic_case():
+    design = np.column_stack([np.linspace(-1, 1, 40), np.ones(40)])
+    model = mp.LogisticGLM(design)
+    data = model.sample(np.array([0.8, -0.3]), 40, np.random.default_rng(4))
+    return model, data
+
+
+def test_log_posterior_value_is_loglik_sum_plus_log_prior():
+    model, data = _logistic_case()
+    cases = [(mp.PoissonRate(), mp.Dataset(np.array([1.0, 4.0, 2.0])),
+              mp.gamma_prior(2.0, 1.0), np.array([1.7])),
+             (model, data, mp.normal_prior(0.0, 2.0), np.array([0.4, 0.1]))]
+    for model, data, prior, th in cases:
+        post = mp.LogPosterior(model, data, prior)
+        assert post.contains(th)
+        assert post.value(th) == (data.n * model.avg_loglik(data, th)
+                                  + prior.log_density(th))
+
+
+def test_log_posterior_is_minus_inf_outside_the_supports():
+    data = mp.Dataset(np.array([1.0, 4.0, 2.0]))
+    post = mp.LogPosterior(mp.PoissonRate(), data, mp.gamma_prior(2.0, 1.0))
+    for th in ([-1.0], [0.0], [np.nan]):
+        assert not post.contains(np.array(th))
+        assert post.value(np.array(th)) == -np.inf
+    seq = mp.LogPosterior(mp.PoissonSequence(2), mp.Dataset(np.ones((3, 2))),
+                          mp.komaki_prior(np.full(2, 3.0), 5.0))
+    assert np.isfinite(seq.value(np.array([1.0, 2.0])))
+    assert seq.value(np.array([1.0, -2.0])) == -np.inf
+    # inside the model support, outside the prior box
+    model, data = _logistic_case()
+    boxed = mp.LogPosterior(model, data, mp.gamma_prior(2.0, 1.0))
+    assert model.in_support(np.array([-0.5, 1.0]))
+    assert not boxed.contains(np.array([-0.5, 1.0]))
+    assert boxed.value(np.array([-0.5, 1.0])) == -np.inf
+    assert np.isfinite(boxed.value(np.array([0.5, 1.0])))
+
+
+def test_log_posterior_derivatives_match_central_differences():
+    model, data = _logistic_case()
+    ridge = mp.normal_prior(0.0, 1.0)
+    cases = [(mp.PoissonRate(), mp.Dataset(np.array([1.0, 4.0, 2.0])),
+              mp.gamma_prior(2.0, 1.0), np.array([1.7])),
+             (model, data, mp.eflat_map_partner(ridge, model),
+              np.array([0.4, -0.2]))]
+    for model, data, prior, th in cases:
+        post = mp.LogPosterior(model, data, prior)
+        assert np.allclose(post.grad(th), _central(post.value, th),
+                           rtol=1e-6, atol=1e-6)
+        fd = _central(post.grad, th)
+        assert np.allclose(post.hess(th), 0.5 * (fd + fd.T), rtol=1e-6,
+                           atol=1e-6)
+
+
+def test_log_posterior_hess_fallback_without_closed_form_prior_hess():
+    model, data = _logistic_case()
+    pois = mp.PoissonSequence(2)
+    cases = [(model, data, mp.jeffreys_prior(model), np.array([0.4, -0.2])),
+             (pois, mp.Dataset(np.array([[1.0, 3.0], [2.0, 0.0]])),
+              mp.coords_multiplied(mp.gamma_prior(2.0, 1.0)),
+              np.array([0.9, 2.1]))]
+    for model, data, prior, th in cases:
+        assert prior.log_hess is None
+        post = mp.LogPosterior(model, data, prior)
+        prior_part = post.hess(th) - data.n * model.avg_hess(data, th)
+        fd = _central(prior.log_grad, th)
+        assert np.allclose(prior_part, 0.5 * (fd + fd.T), rtol=1e-6,
+                           atol=1e-6)

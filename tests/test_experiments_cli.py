@@ -280,3 +280,26 @@ def test_cli_build_model_errors():
         build_model("unknown-model")
     with pytest.raises(click.UsageError):
         build_model("logistic")
+
+
+@pytest.mark.parametrize("args", [
+    ["geometry", "dump", "--model", "poisson", "--at", "1,2"],
+    ["geometry", "dump", "--model", "poisson", "--at", "abc"],
+    ["geometry", "dump", "--model", "poisson", "--at", "-1"],
+    ["geometry", "dump", "--model", "poisson", "--at", "1", "--method", "mc",
+     "--seed", "1", "--draws", "0"],
+    ["geometry", "dump", "--model", "cauchy:x", "--at", "0"],
+    ["geometry", "dump", "--model", "poisson-seq:x", "--at", "1"],
+    ["estimate", "--model", "poisson", "--prior", "normal(0", "--method",
+     "map", "--data", "DATA"],
+    ["estimate", "--model", "poisson", "--prior", "wat", "--method", "map",
+     "--data", "DATA"],
+])
+def test_cli_malformed_input_is_a_usage_error(args, tmp_path):
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1\n3\n2\n")
+    args = [str(data) if a == "DATA" else a for a in args]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("Error: ")
+    assert "Traceback" not in res.output

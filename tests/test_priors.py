@@ -228,7 +228,8 @@ def test_jeffreys_power_partner_aliases_and_closed_form_hessian():
         assert np.allclose(partner.log_hess(th), fd, rtol=1e-6, atol=1e-6), \
             partner.label
     # a prior without a closed-form Hessian gives a partner without one
-    flat = mp.eflat_map_partner(mp.uniform_prior(), mp.GaussianKnownMeanPrecision())
+    flat = mp.eflat_map_partner(mp.coords_multiplied(mp.gamma_prior(2.0, 1.0)),
+                                mp.GaussianKnownMeanPrecision())
     assert flat.log_hess is None
     with pytest.raises(ValueError):
         mp.jeffreys_power_partner(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(), 3)
