@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from . import experiments
+from .errors import MatchPriorError
 from .estimators import (calibrate_pm_from_map, laplace_posterior_expectation,
                          map_estimate, mle)
 from .geometry import geometry_at
@@ -98,13 +99,17 @@ def _komaki_args(prior_text: str) -> tuple[float, float]:
 
 class _Cli(click.Group):
     """The library rejects malformed input with ValueError; the command line
-    reports it as a usage error (exit code 2) instead of a traceback."""
+    reports it as a usage error (exit code 2) instead of a traceback.  A
+    library error (MatchPriorError) is reported as "<Type>: <message>" with
+    exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
+        except MatchPriorError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
 
 @click.group(cls=_Cli)

@@ -149,7 +149,9 @@ def _pg_mass_texpon(z):
     x0 = np.log(fz) + fz * t
     xb = x0 - z + log_ndtr(b)
     xa = x0 + z + log_ndtr(a)
-    qdivp = 4.0 / np.pi * (np.exp(xb) + np.exp(xa))
+    # from |z| near 96 on, exp overflows to inf and the mass is its limit 0
+    with np.errstate(over="ignore"):
+        qdivp = 4.0 / np.pi * (np.exp(xb) + np.exp(xa))
     return 1.0 / (1.0 + qdivp)
 
 

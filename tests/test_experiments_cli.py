@@ -303,3 +303,20 @@ def test_cli_malformed_input_is_a_usage_error(args, tmp_path):
     assert res.exit_code == 2, res.output
     assert res.output.startswith("Error: ")
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--model", "poisson", "--prior", "gamma(-1,1)", "--method",
+     "map", "--data", "DATA"],
+    ["oracle", "--model", "poisson", "--prior", "gamma(-1,1)", "--data",
+     "DATA"],
+])
+def test_cli_library_error_is_reported_by_type(args, tmp_path):
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1\n3\n2\n")
+    args = [str(data) if a == "DATA" else a for a in args]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert res.output.startswith("Error: InvalidHyperparameter: ")
+    assert "Traceback" not in res.output
+    assert not isinstance(res.exception, InvalidHyperparameter)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,17 @@ def test_polya_gamma_moments():
         se = draws.std() / np.sqrt(n)
         assert abs(draws.mean() - mean) < 4 * se, z
         assert np.all(draws > 0)
+
+
+@pytest.mark.parametrize("z", [100.0, 300.0])
+def test_polya_gamma_large_z_without_overflow_warning(z):
+    # the truncated-exponential mass overflows exp near |z| = 96; its limit 0
+    # is the right mass, and no RuntimeWarning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = polya_gamma_1(np.random.default_rng(5), np.full(2000, z))
+    se = draws.std() / np.sqrt(draws.size)
+    assert abs(draws.mean() - np.tanh(z / 2) / (2 * z)) < 4 * se
 
 
 def test_polya_gamma_sign_invariance_and_determinism():
