@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import (InvalidHyperparameter, NonFiniteInput, SingularPrecision,
                      ZeroAcceptance)
 from .estimators import LogPosterior
-from .models import Dataset, ModelSpec
+from .models import Dataset, ModelSpec, row_outer
 from .priors import PriorSpec
 
 
@@ -30,8 +31,6 @@ class ChainConfig:
     def __post_init__(self):
         if self.length <= 0 or self.burnin < 0:
             raise ValueError("need length > 0 and burnin >= 0")
-        if self.burnin >= self.burnin + self.length:
-            raise ValueError("burnin must be smaller than the total draw count")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
         if self.step_scale is not None and self.step_scale <= 0:
@@ -137,13 +136,24 @@ def rwmh(model: ModelSpec, data: Dataset, prior: PriorSpec, config: ChainConfig,
 
 # ---------------------------------------------------------------------------
 # exact Polya-Gamma PG(1, z) sampling (alternating-series accept-reject)
+#
+# PG(1, z) = J*(1, z/2) / 4, drawn by Devroye's scheme with truncation point
+# t (Windle, Polson & Scott 2014): an exponential proposal right of t, an
+# inverse-Gaussian IG(1/z, 1) proposal left of it, and the alternating series
+# as the accept test.  One (4, k) block of uniforms serves a whole pass:
+# row 0 picks the branch, row 1 inverts the proposal's CDF, row 2 is the IG
+# accept test and row 3 the series uniform.
 
 _PG_TRUNC = 0.64
+# Phi(-1/sqrt(t)): X = 1/Z^2 with Z ~ N(0, 1) is Levy(0, 1), and X < t is
+# |Z| > 1/sqrt(t), so ndtri(v * _PG_LEVY_MASS)^-2 with v uniform on (0, 1]
+# is X given X < t
+_PG_LEVY_MASS = float(ndtr(-1.0 / np.sqrt(_PG_TRUNC)))
 
 
-def _pg_mass_texpon(z):
+def _pg_mass_texpon(z, fz):
+    """Probability of the exponential branch; fz = pi^2/8 + z^2/2."""
     t = _PG_TRUNC
-    fz = np.pi**2 / 8.0 + 0.5 * z * z
     b = np.sqrt(1.0 / t) * (t * z - 1.0)
     a = -np.sqrt(1.0 / t) * (t * z + 1.0)
     x0 = np.log(fz) + fz * t
@@ -155,105 +165,116 @@ def _pg_mass_texpon(z):
     return 1.0 / (1.0 + qdivp)
 
 
-def _pg_series_coef(k, x):
-    t = _PG_TRUNC
-    out = np.empty_like(x)
-    big = x > t
-    kk = k + 0.5
-    out[big] = np.pi * kk * np.exp(-kk**2 * np.pi**2 * x[big] / 2.0)
-    small = ~big
-    xs = x[small]
-    out[small] = (2.0 / np.pi / xs) ** 1.5 * np.pi * kk * np.exp(-2.0 * kk**2 / xs)
-    return out
+def _rtlevy_tilted(rng, z, u, v):
+    """IG(1/z, 1) truncated to (0, TRUNC) for z < 1/TRUNC.
 
-
-def _rtigauss(rng, z):
-    """Inverse-Gaussian IG(1/z, 1) truncated to (0, TRUNC), vectorized."""
-    t = _PG_TRUNC
-    z = np.abs(z)
-    x = np.empty(z.shape)
-    wide = z < 1.0 / t  # mean above the truncation point: tilted-chi rejection
-    idx = np.where(wide)[0]
-    if idx.size:
-        res = np.empty(idx.size)
-        open_ = np.ones(idx.size, dtype=bool)
-        while open_.any():
-            k = int(open_.sum())
-            e1 = rng.standard_exponential(k)
-            e2 = rng.standard_exponential(k)
-            bad = e1 * e1 > 2.0 * e2 / t
-            while bad.any():
-                nb = int(bad.sum())
-                e1[bad] = rng.standard_exponential(nb)
-                e2[bad] = rng.standard_exponential(nb)
-                bad = e1 * e1 > 2.0 * e2 / t
-            cand = t / (1.0 + t * e1) ** 2
-            alpha = np.exp(-0.5 * z[idx][open_] ** 2 * cand)
-            acc = rng.random(k) <= alpha
-            pos = np.where(open_)[0][acc]
-            res[pos] = cand[acc]
-            open_[pos] = False
-        x[idx] = res
-    idx = np.where(~wide)[0]
-    if idx.size:
-        mu = 1.0 / z[idx]
-        res = np.full(idx.size, t + 1.0)
-        while True:
-            open_ = res > t
-            if not open_.any():
-                break
-            k = int(open_.sum())
-            mua = mu[open_]
-            yv = rng.normal(size=k) ** 2
-            muy = mua * yv
-            cand = mua + 0.5 * mua * muy - 0.5 * mua * np.sqrt(4.0 * muy + muy * muy)
-            flip = rng.random(k) > mua / (mua + cand)
-            cand[flip] = mua[flip] ** 2 / cand[flip]
-            res[np.where(open_)[0]] = cand
-        x[idx] = res
+    The proposal is Levy(0, 1) truncated to (0, TRUNC) by inverse CDF from u;
+    it is accepted with probability exp(-z^2 x / 2) tested against v.  Only a
+    rejected proposal is redrawn, with fresh uniforms.
+    """
+    # 1 - u lies in (0, 1], so the argument of ndtri is never 0
+    x = ndtri((1.0 - u) * _PG_LEVY_MASS) ** -2
+    rej = (v >= np.exp(-0.5 * z * z * x)).nonzero()[0]
+    while rej.size:
+        zr = z[rej]
+        u, v = rng.random((2, rej.size))
+        cand = ndtri((1.0 - u) * _PG_LEVY_MASS) ** -2
+        ok = v < np.exp(-0.5 * zr * zr * cand)
+        x[rej[ok]] = cand[ok]
+        rej = rej[~ok]
     return x
 
 
+def _rtigauss(rng, z):
+    """IG(1/z, 1) truncated to (0, TRUNC) for z >= 1/TRUNC, by rejection.
+
+    The mean 1/z lies inside the truncation, so untruncated IG draws
+    (Michael, Schucany & Haas 1976) land below TRUNC most of the time.
+    """
+    t = _PG_TRUNC
+    mu = 1.0 / z
+    res = np.full(z.size, t + 1.0)
+    while True:
+        open_ = res > t
+        if not open_.any():
+            return res
+        k = int(open_.sum())
+        mua = mu[open_]
+        yv = rng.normal(size=k) ** 2
+        muy = mua * yv
+        cand = mua + 0.5 * mua * muy - 0.5 * mua * np.sqrt(4.0 * muy + muy * muy)
+        flip = rng.random(k) > mua / (mua + cand)
+        cand[flip] = mua[flip] ** 2 / cand[flip]
+        res[np.where(open_)[0]] = cand
+
+
+def _pg_propose(rng, z, fz, pexp):
+    """Proposals x for J*(1, z) and their series uniforms, from one block."""
+    u = rng.random((4, z.size))
+    x = _PG_TRUNC - np.log1p(-u[1]) / fz
+    ig = u[0] >= pexp
+    low = z < 1.0 / _PG_TRUNC
+    wide = (ig & low).nonzero()[0]
+    if wide.size:
+        x[wide] = _rtlevy_tilted(rng, z[wide], u[1, wide], u[2, wide])
+    narrow = (ig & ~low).nonzero()[0]
+    if narrow.size:
+        x[narrow] = _rtigauss(rng, z[narrow])
+    return x, u[3]
+
+
+def _pg_series_accepts(x, u):
+    """Devroye's alternating-series test: accept x where u < f(x) / a_0(x).
+
+    The J*(1) density is f = sum_k (-1)^k a_k with a_k(x) = pi (k + 1/2)
+    exp(B(x) - (k + 1/2)^2 A(x)), where A = pi^2 x / 2, B = 0 right of t
+    and A = 2 / x, B = 3/2 log(2 / (pi x)) left of it (the two forms are
+    equal; each is monotone in k on its side).  B cancels from the ratios
+    r_k = a_k / a_0 = (2k + 1) exp(-k (k + 1) A), so the partial sums of
+    1 - r_1 + r_2 - ... decide every slot without forming a_k.
+    """
+    a = np.where(x > _PG_TRUNC, 0.5 * np.pi**2 * x, 2.0 / x)
+    s = 1.0 - 3.0 * np.exp(-2.0 * a)
+    accepted = u <= s
+    # the first partial sum decides almost every slot; the rest go on as
+    # index arrays
+    idx = (~accepted).nonzero()[0]
+    a, s, u = a[idx], s[idx], u[idx]
+    k = 1
+    while idx.size:
+        k += 1
+        s = s + (-1) ** k * (2 * k + 1) * np.exp(-k * (k + 1) * a)
+        # odd partial sums bound f / a_0 from below, even ones from above
+        if k % 2:
+            done = u <= s
+            accepted[idx[done]] = True
+        else:
+            done = u > s
+        keep = (~done).nonzero()[0]
+        idx, a, s, u = idx[keep], a[keep], s[keep], u[keep]
+    return accepted
+
+
 def polya_gamma_1(rng, z) -> np.ndarray:
-    """Exact draws from PG(1, z) for an array z (Devroye-type scheme)."""
+    """Exact draws from PG(1, z) for an array z (Devroye-type scheme).
+
+    A pass over the open slots takes one (4, k) block of uniforms; a slot
+    whose series test fails goes into the next pass, branch choice included.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(np.isfinite(z)):
         # the alternating series never decides a NaN slot: the loop would spin
         raise NonFiniteInput("PG(1, z) needs finite z")
     half = np.abs(z) * 0.5
     fz = np.pi**2 / 8.0 + 0.5 * half * half
-    pexp = _pg_mass_texpon(half)
+    pexp = _pg_mass_texpon(half, fz)
     out = np.empty(half.shape)
     pending = np.arange(half.size)
     while pending.size:
-        zi = half[pending]
-        k = pending.size
-        x = np.empty(k)
-        use_exp = rng.random(k) < pexp[pending]
-        ne = int(use_exp.sum())
-        if ne:
-            x[use_exp] = _PG_TRUNC + rng.standard_exponential(ne) / fz[pending][use_exp]
-        if ne < k:
-            x[~use_exp] = _rtigauss(rng, zi[~use_exp])
-        s = _pg_series_coef(0, x)
-        y = rng.random(k) * s
-        undecided = np.ones(k, dtype=bool)
-        accepted = np.zeros(k, dtype=bool)
-        term = 0
-        while undecided.any():
-            term += 1
-            coef = _pg_series_coef(term, x[undecided])
-            if term % 2 == 1:
-                s[undecided] -= coef
-                newly = undecided & (y <= s)
-                accepted |= newly
-                undecided &= ~newly
-            else:
-                s[undecided] += coef
-                newly = undecided & (y > s)
-                undecided &= ~newly
-        out[pending[accepted]] = 0.25 * x[accepted]
-        pending = pending[~accepted]
+        x, u = _pg_propose(rng, half[pending], fz[pending], pexp[pending])
+        ok = _pg_series_accepts(x, u)
+        out[pending[ok]] = 0.25 * x[ok]
+        pending = pending[~ok]
     return out
 
 
@@ -281,26 +302,27 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     except np.linalg.LinAlgError as exc:
         raise InvalidHyperparameter(
             "prior precision at 0 is not positive definite") from exc
-    m0 = np.linalg.solve(p0, prior.log_grad(zero)) if np.any(prior.log_grad(zero)) \
-        else zero
+    # for a Gaussian prior, log_grad(0) = P0 m0, so the conditional mean is
+    # prec^-1 (kappa + log_grad(0))
+    shift = x.T @ (y - 0.5) + prior.log_grad(zero)
+    xx = row_outer(x)
     rng = np.random.default_rng(config.seed)
     beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
-    kappa = x.T @ (y - 0.5)
-    total = config.burnin + config.length
-    kept = []
-    for it in range(total):
-        eta = x @ beta
-        omega = polya_gamma_1(rng, eta)
-        prec = (x.T * omega) @ x + p0
-        try:
-            chol = np.linalg.cholesky(prec)
-        except np.linalg.LinAlgError as exc:
-            raise SingularPrecision("conditional precision not PD") from exc
-        mean = np.linalg.solve(prec, kappa + p0 @ m0)
-        beta = mean + np.linalg.solve(chol.T, rng.normal(size=d))
-        if it >= config.burnin and (it - config.burnin) % config.thinning == 0:
-            kept.append(beta.copy())
-    return _finalize(kept, config.length, config.length, config.seed,
+    samples = np.empty((-(-config.length // config.thinning), d))
+    for it in range(config.burnin + config.length):
+        omega = polya_gamma_1(rng, x @ beta)
+        prec = (omega @ xx).reshape(d, d) + p0
+        chol, info = dpotrf(prec, lower=1)
+        if info:
+            raise SingularPrecision("conditional precision not PD")
+        # beta = L^-T (L^-1 shift + eps): mean prec^-1 shift, covariance
+        # prec^-1; a factor dpotrf accepted has a positive diagonal
+        w = dtrtrs(chol, shift, lower=1)[0]
+        beta = dtrtrs(chol, w + rng.standard_normal(d), lower=1, trans=1)[0]
+        kept, off = divmod(it - config.burnin, config.thinning)
+        if kept >= 0 and not off:
+            samples[kept] = beta
+    return _finalize(samples, config.length, config.length, config.seed,
                      {"sampler": "pg-gibbs", "burnin": config.burnin,
                       "chain_length": config.length})
 

@@ -22,7 +22,7 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _row_outer(x):
+def row_outer(x):
     """(n, d*d) array whose row i is the flattened outer product x_i x_i'."""
     n, d = x.shape
     return (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
@@ -36,7 +36,7 @@ def weighted_cube(x, w=None):
     """
     d = x.shape[1]
     xw = x if w is None else x * w[:, None]
-    return (xw.T @ _row_outer(x)).reshape(d, d, d)
+    return (xw.T @ row_outer(x)).reshape(d, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,11 @@ class GaussianKnownMeanPrecision(ModelSpec):
         th = float(theta[0])
         return np.array([[[-1.0 / th**3]]])
 
+    def per_obs_score_hess(self, data, theta):
+        th = float(theta[0])
+        score = 0.5 / th - 0.5 * data.responses[:, :1] ** 2
+        return score, np.full((data.n, 1, 1), -0.5 / th**2)
+
     def sample(self, theta, n, rng):
         sd = 1.0 / np.sqrt(float(theta[0]))
         return Dataset(rng.normal(0.0, sd, size=(n, 1)))
@@ -340,6 +345,11 @@ class PoissonSequence(ModelSpec):
         idx = np.arange(self.dim)
         out[idx, idx, idx] = 1.0 / lam**2
         return out
+
+    def per_obs_score_hess(self, data, theta):
+        lam = np.asarray(theta, dtype=float)
+        y = data.responses
+        return y / lam - 1.0, -(y / lam**2)[:, :, None] * np.eye(self.dim)
 
     def sample(self, theta, n, rng):
         lam = np.asarray(theta, dtype=float)
@@ -416,7 +426,7 @@ class LogisticGLM(ModelSpec):
     def _design_outer(self):
         # the design is fixed, and the MAP under a Jeffreys partner asks for
         # fisher_grad and fisher_hess at every Newton step: (n, d*d), not n d^3
-        return _row_outer(self.design)
+        return row_outer(self.design)
 
     def fisher_grad(self, theta):
         x = self.design
@@ -437,6 +447,12 @@ class LogisticGLM(ModelSpec):
 
     def skewness(self, theta):
         return self.fisher_grad(theta)
+
+    def per_obs_score_hess(self, data, theta):
+        x = self._design_for(data)
+        p = sigmoid(x @ np.asarray(theta, dtype=float))
+        score = x * (data.responses[:, :1] - p[:, None])
+        return score, -(p * (1.0 - p))[:, None, None] * x[:, :, None] * x[:, None, :]
 
     def sample(self, theta, n, rng):
         if n != self.design.shape[0]:

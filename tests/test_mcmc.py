@@ -6,7 +6,8 @@ import pytest
 import matchprior as mp
 from matchprior import mcmc
 from matchprior.errors import (InvalidHyperparameter, MatchPriorError,
-                               NonFiniteInput, ZeroAcceptance)
+                               NonFiniteInput, SingularPrecision,
+                               ZeroAcceptance)
 from matchprior.mcmc import ChainConfig, batch_means_se, polya_gamma_1
 
 
@@ -31,6 +32,21 @@ def test_polya_gamma_moments():
         se = draws.std() / np.sqrt(n)
         assert abs(draws.mean() - mean) < 4 * se, z
         assert np.all(draws > 0)
+
+
+def test_polya_gamma_variance():
+    # Var[PG(1, z)] = (sinh z - z) / (4 z^3 cosh^2(z/2)); z = 0 gives 1/24.
+    # z = 3.0 and 3.2 sit either side of |z|/2 = 1/0.64, where the IG
+    # proposal switches from the tilted Levy to the untruncated-IG rejection
+    rng = np.random.default_rng(3)
+    n = 400_000
+    for z in (0.0, 0.5, 1.5, 3.0, 3.2, 8.0):
+        draws = polya_gamma_1(rng, np.full(n, z))
+        var = ((np.sinh(z) - z) / (4 * z**3 * np.cosh(z / 2) ** 2) if z > 0
+               else 1.0 / 24.0)
+        dev = draws - draws.mean()
+        se = np.sqrt((np.mean(dev**4) - np.mean(dev**2) ** 2) / n)
+        assert abs(np.mean(dev**2) - var) < 4 * se, z
 
 
 @pytest.mark.parametrize("z", [100.0, 300.0])
@@ -154,6 +170,30 @@ def test_pg_gibbs_determinism_and_prior_requirement():
     assert np.array_equal(c1.samples, c2.samples)
     with pytest.raises(InvalidHyperparameter):
         mp.polya_gamma_gibbs(design, y, mp.uniform_prior(), cfg)
+
+
+def test_pg_gibbs_thinning_keeps_every_third_sweep():
+    design = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 1.0], [0.8, -0.4]])
+    y = np.array([1.0, 0.0, 1.0, 1.0])
+    prior = mp.normal_prior(0, 2)
+    full = mp.polya_gamma_gibbs(design, y, prior,
+                                ChainConfig(length=200, burnin=10, seed=15))
+    thin = mp.polya_gamma_gibbs(design, y, prior,
+                                ChainConfig(length=200, burnin=10, seed=15,
+                                            thinning=3))
+    assert thin.samples.shape == (67, 2)
+    assert np.array_equal(thin.samples, full.samples[::3])
+
+
+def test_pg_gibbs_indefinite_precision_raises(monkeypatch):
+    # negative PG weights make X' Omega X + P0 indefinite: dpotrf's info flag
+    monkeypatch.setattr(mcmc, "polya_gamma_1",
+                        lambda rng, z: np.full(np.shape(z), -10.0))
+    design = np.array([[1.0], [0.5], [-0.3]])
+    y = np.array([1.0, 0.0, 1.0])
+    with pytest.raises(SingularPrecision):
+        mp.polya_gamma_gibbs(design, y, mp.normal_prior(0, 2),
+                             ChainConfig(length=20, seed=16))
 
 
 def test_pg_gibbs_rejects_priors_without_finite_precision(monkeypatch):
