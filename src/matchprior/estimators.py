@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (BoundaryPoint, BoundaryStuck, IndefiniteHessian,
                      NotConverged)
@@ -96,13 +97,11 @@ def _newton_direction(neg_hess, grad):
     scale = max(np.max(np.abs(neg_hess)), 1.0)
     ridge = 0.0
     for _ in range(40):
-        try:
-            chol = np.linalg.cholesky(neg_hess + ridge * np.eye(d))
-            s = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        chol, info = dpotrf(neg_hess + ridge * np.eye(d), lower=1)
+        if info == 0:
+            s = dpotrs(chol, grad, lower=1)[0]
             if np.dot(s, grad) > 0:
                 return s, ridge > 0
-        except np.linalg.LinAlgError:
-            pass
         ridge = max(2.0 * ridge, 1e-10 * scale)
     raise IndefiniteHessian("could not regularize the Hessian into an ascent direction")
 
@@ -119,6 +118,8 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
     # nan_to_num keeps the margin finite, so an infinite bound stays infinite
     lo_thr = lower + _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(lower)))
     hi_thr = upper - _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(upper)))
+    # one value per point: an accepted trial's f1 becomes the next f0
+    f0 = post.value(theta)
     for it in range(1, max_iter + 1):
         g = post.grad(theta)
         at_lo = theta <= lo_thr
@@ -140,13 +141,13 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
         used_ridge = used_ridge or ridged
         step = np.zeros(d)
         step[idx] = step_free
-        f0 = post.value(theta)
         # in the quadratic endgame the predicted gain falls below the float
         # resolution of f0; line search cannot verify it, so trust Newton
         if np.dot(g, step) <= 1e-12 * max(1.0, abs(f0)):
             trial = np.clip(theta + step, lower, upper)
-            if np.isfinite(post.value(trial)):
-                theta = trial
+            f1 = post.value(trial)
+            if np.isfinite(f1):
+                theta, f0 = trial, f1
                 continue
         for k in range(60):
             trial = np.clip(theta + 0.5**k * step, lower, upper)
@@ -164,7 +165,7 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
             else:
                 raise IndefiniteHessian(
                     "neither Newton nor gradient ascent could make progress")
-        theta = trial
+        theta, f0 = trial, f1
     raise NotConverged(f"no convergence in {max_iter} iterations",
                        result=EstimateResult(theta, "MLE",
                                              {"iterations": max_iter,

@@ -39,6 +39,11 @@ def weighted_cube(x, w=None):
     return (xw.T @ row_outer(x)).reshape(d, d, d)
 
 
+def softplus(x):
+    """log(1 + e^x) without overflow: max(x, 0) + log1p(e^-|x|)."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 # ---------------------------------------------------------------------------
 # data containers
 
@@ -51,24 +56,41 @@ class Observation:
     covariates: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Stacked observations.  responses has shape (n, k); covariates (n, p) or None."""
+    """Stacked observations.  responses has shape (n, k); covariates (n, p) or None.
+
+    Immutable: the arrays are read-only views (the caller's stay writable),
+    so the statistics cached on first use never go stale."""
 
     responses: np.ndarray
     covariates: np.ndarray | None = None
 
     def __post_init__(self):
-        resp = np.asarray(self.responses, dtype=float)
-        # a flat vector is n scalar observations, not one n-vector observation
-        self.responses = resp[:, None] if resp.ndim == 1 else np.atleast_2d(resp)
+        for name in ("responses", "covariates"):
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name), dtype=float)
+                # a flat vector is n scalar observations, not one n-vector observation
+                arr = (arr[:, None] if arr.ndim == 1 else np.atleast_2d(arr)).view()
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         if self.responses.shape[0] < 1:
             raise ValueError("dataset needs at least one observation")
-        if self.covariates is not None:
-            cov = np.asarray(self.covariates, dtype=float)
-            self.covariates = cov[:, None] if cov.ndim == 1 else np.atleast_2d(cov)
-            if self.covariates.shape[0] != self.responses.shape[0]:
-                raise ValueError("covariate rows do not match response rows")
+        if self.covariates is not None and self.covariates.shape[0] != self.n:
+            raise ValueError("covariate rows do not match response rows")
+
+    @cached_property
+    def response_mean(self) -> np.ndarray:
+        return np.mean(self.responses, axis=0)
+
+    @cached_property
+    def response_square_mean(self) -> np.ndarray:
+        return np.mean(self.responses**2, axis=0)
+
+    @cached_property
+    def log_factorial_mean(self) -> float:
+        """Mean over rows of sum_j log y_j!, the Poisson log-likelihood constant."""
+        return float(np.mean(np.sum(gammaln(self.responses + 1.0), axis=1)))
 
     @property
     def n(self) -> int:
@@ -240,13 +262,12 @@ class GaussianKnownMeanPrecision(ModelSpec):
 
     def avg_loglik(self, data, theta):
         th = float(theta[0])
-        y2 = np.mean(data.responses[:, 0] ** 2)
-        return 0.5 * np.log(th) - 0.5 * th * y2 - 0.5 * np.log(2 * np.pi)
+        return (0.5 * np.log(th) - 0.5 * th * data.response_square_mean[0]
+                - 0.5 * np.log(2 * np.pi))
 
     def avg_grad(self, data, theta):
         th = float(theta[0])
-        y2 = np.mean(data.responses[:, 0] ** 2)
-        return np.array([0.5 / th - 0.5 * y2])
+        return np.array([0.5 / th - 0.5 * data.response_square_mean[0]])
 
     def avg_hess(self, data, theta):
         th = float(theta[0])
@@ -283,8 +304,7 @@ class GaussianKnownMeanPrecision(ModelSpec):
         return Dataset(rng.normal(0.0, sd, size=(n, 1)))
 
     def default_init(self, data):
-        y2 = np.mean(data.responses[:, 0] ** 2)
-        return np.array([1.0 / max(y2, 1e-8)])
+        return np.array([1.0 / max(data.response_square_mean[0], 1e-8)])
 
 
 class PoissonSequence(ModelSpec):
@@ -299,26 +319,22 @@ class PoissonSequence(ModelSpec):
 
     def avg_loglik(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        y = data.responses
-        ll = y * np.log(lam) - lam - gammaln(y + 1.0)
-        return float(np.mean(np.sum(ll, axis=1)))
+        return float(data.response_mean @ np.log(lam) - np.sum(lam)
+                     - data.log_factorial_mean)
 
     def avg_grad(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        ybar = np.mean(data.responses, axis=0)
-        return ybar / lam - 1.0
+        return data.response_mean / lam - 1.0
 
     def avg_hess(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        ybar = np.mean(data.responses, axis=0)
-        return np.diag(-ybar / lam**2)
+        return np.diag(-data.response_mean / lam**2)
 
     def avg_third(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        ybar = np.mean(data.responses, axis=0)
         out = np.zeros((self.dim,) * 3)
         idx = np.arange(self.dim)
-        out[idx, idx, idx] = 2.0 * ybar / lam**3
+        out[idx, idx, idx] = 2.0 * data.response_mean / lam**3
         return out
 
     def fisher(self, theta):
@@ -356,8 +372,7 @@ class PoissonSequence(ModelSpec):
         return Dataset(rng.poisson(lam, size=(n, self.dim)).astype(float))
 
     def default_init(self, data):
-        ybar = np.mean(data.responses, axis=0)
-        return np.maximum(ybar, 0.1)
+        return np.maximum(data.response_mean, 0.1)
 
 
 class PoissonRate(PoissonSequence):
@@ -395,8 +410,7 @@ class LogisticGLM(ModelSpec):
         x = self._design_for(data)
         y = data.responses[:, 0]
         eta = x @ np.asarray(theta, dtype=float)
-        # y*eta - log(1 + e^eta), computed stably
-        return float(np.mean(y * eta - np.logaddexp(0.0, eta)))
+        return float(np.mean(y * eta - softplus(eta)))
 
     def avg_grad(self, data, theta):
         x = self._design_for(data)

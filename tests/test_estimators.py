@@ -4,7 +4,8 @@ import pytest
 import matchprior as mp
 from matchprior.errors import (BoundaryPoint, BoundaryStuck, NotConverged,
                                SingularFisher, SupportMismatch)
-from matchprior.estimators import Statistic, coordinate_statistic
+from matchprior.estimators import (LogPosterior, Statistic,
+                                   _newton_direction, coordinate_statistic)
 
 
 def test_mle_poisson_is_sample_mean():
@@ -38,6 +39,40 @@ def test_map_gamma_posterior_mode():
     res = mp.map_estimate(mp.PoissonRate(), data, mp.gamma_prior(a, b))
     assert res.point[0] == pytest.approx((a - 1 + 6.0) / (b + 3), abs=1e-10)
     assert res.diagnostics["prior"] == "gamma(2.5,1.5)"
+
+
+def test_map_evaluates_each_point_once(monkeypatch):
+    # from a far start the line search backtracks; f at an accepted trial is
+    # carried into the next iteration, so no point is evaluated twice
+    y = np.random.default_rng(512).poisson(3.0, size=512).astype(float)
+    points = []
+    value = LogPosterior.value
+    monkeypatch.setattr(LogPosterior, "value",
+                        lambda self, th: points.append(th.copy())
+                        or value(self, th))
+    res = mp.map_estimate(mp.PoissonRate(), mp.Dataset(y),
+                          mp.gamma_prior(2.0, 1.0), init=np.array([100.0]))
+    assert res.point[0] == pytest.approx((1.0 + y.sum()) / 513.0, rel=1e-12)
+    assert res.diagnostics["iterations"] == 4
+    assert points[0][0] == 100.0
+    # 1 evaluation at the start plus 9 line-search trials
+    assert len(points) == 10
+    assert len({p[0] for p in points}) == len(points)
+
+
+def test_newton_direction_ridge_schedule():
+    g = np.array([1.0, 1.0])
+    pd = np.array([[2.0, 0.5], [0.5, 1.0]])
+    s, ridged = _newton_direction(pd, g)
+    assert not ridged
+    np.testing.assert_allclose(s, np.linalg.solve(pd, g), rtol=1e-14)
+    # indefinite: the ridge starts at 1e-10 * max(max|H|, 1) and doubles
+    # until the shifted matrix factors; 1e-10 * 2**24 is the first above 1e-3
+    indef = np.diag([1.0, -1e-3])
+    s, ridged = _newton_direction(indef, g)
+    assert ridged
+    np.testing.assert_allclose(
+        s, np.linalg.solve(indef + 1e-10 * 2.0**24 * np.eye(2), g), rtol=1e-14)
 
 
 def test_map_respects_lower_bound():

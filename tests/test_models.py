@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import matchprior as mp
 from matchprior.errors import NonFiniteLogDensity, StepTooLarge
-from matchprior.models import Observation, check_point, sigmoid
+from matchprior import models
+from matchprior.models import Observation, check_point, sigmoid, softplus
 
 
 def _fd_grad(model, data, theta, h=1e-5):
@@ -183,6 +185,91 @@ def test_dataset_shapes_and_observations():
         [d2.observation(0), d2.observation(1)])
     assert np.allclose(rebuilt.responses, d2.responses)
     assert np.allclose(rebuilt.covariates, d2.covariates)
+
+
+def test_dataset_arrays_are_read_only_views():
+    y = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = np.ones((2, 3))
+    data = mp.Dataset(y, x)
+    for arr in (data.responses, data.covariates):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 9.0
+    with pytest.raises(AttributeError):
+        data.responses = np.zeros((2, 2))
+    y[0, 0] = 5.0
+    x[0, 0] = 5.0
+    assert y[0, 0] == 5.0 and x[0, 0] == 5.0
+
+
+def test_softplus_matches_logaddexp():
+    eta = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                          [0.0, 40.0, -40.0, -0.0]])
+    out = softplus(eta)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, np.logaddexp(0.0, eta), rtol=1e-15, atol=0)
+
+
+def _shrinkage_counts(d, n, seed):
+    lam = np.full(d, 2.0)
+    lam[::2] = 0.001
+    counts = np.random.default_rng(seed).poisson(lam * n).astype(float)
+    return np.tile(counts / n, (n, 1))
+
+
+def _count_datasets():
+    rng = np.random.default_rng(21)
+    return [rng.poisson(3.0, size=(40, 1)).astype(float),
+            rng.poisson(3.0, size=(40, 100)).astype(float),
+            _shrinkage_counts(1, 10, 22), _shrinkage_counts(100, 10, 23)]
+
+
+def test_cached_statistics_match_per_element_formulas():
+    rng = np.random.default_rng(24)
+    gauss = mp.GaussianKnownMeanPrecision()
+    for y in _count_datasets():
+        d = y.shape[1]
+        model, data = mp.PoissonSequence(d), mp.Dataset(y)
+        lam = 0.5 + 3.0 * rng.random(d)
+        ll = np.mean(np.sum(y * np.log(lam) - lam - gammaln(y + 1.0), axis=1))
+        close = dict(rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(model.avg_loglik(data, lam), ll, **close)
+        np.testing.assert_allclose(model.avg_grad(data, lam),
+                                   np.mean(y / lam - 1.0, axis=0), **close)
+        np.testing.assert_allclose(np.diag(model.avg_hess(data, lam)),
+                                   np.mean(-y / lam**2, axis=0), **close)
+        t3 = model.avg_third(data, lam)
+        idx = np.arange(d)
+        np.testing.assert_allclose(t3[idx, idx, idx],
+                                   np.mean(2.0 * y / lam**3, axis=0), **close)
+        t3[idx, idx, idx] = 0.0
+        assert not np.any(t3)
+        np.testing.assert_allclose(model.default_init(data),
+                                   np.maximum(np.mean(y, axis=0), 0.1), **close)
+        if d == 1:
+            th = lam
+            np.testing.assert_allclose(
+                gauss.avg_loglik(data, th),
+                np.mean(0.5 * np.log(th) - 0.5 * th * y**2
+                        - 0.5 * np.log(2 * np.pi)), **close)
+            np.testing.assert_allclose(gauss.avg_grad(data, th),
+                                       np.mean(0.5 / th - 0.5 * y**2, axis=0),
+                                       **close)
+
+
+def test_log_factorial_is_computed_once_per_dataset(monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "gammaln",
+                        lambda v: calls.append(1) or gammaln(v))
+    for y in _count_datasets():
+        model, data = mp.PoissonSequence(y.shape[1]), mp.Dataset(y)
+        calls.clear()
+        first = model.avg_loglik(data, np.full(y.shape[1], 1.5))
+        for lam in (0.5, 1.5, 4.0):
+            model.avg_loglik(data, np.full(y.shape[1], lam))
+        assert len(calls) == 1
+        assert model.avg_loglik(data, np.full(y.shape[1], 1.5)) == first
+        model.avg_loglik(mp.Dataset(y), np.full(y.shape[1], 1.5))
+        assert len(calls) == 2
 
 
 def test_cauchy_sample_and_median_init():
