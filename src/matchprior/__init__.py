@@ -10,10 +10,9 @@ from .errors import (BoundaryPoint, BoundaryStuck, FamilyMismatch,
                      SupportMismatch, TailNotDecaying, ToleranceNotMet,
                      ZeroAcceptance)
 from .models import (Dataset, GaussianKnownMeanPrecision, LogisticGLM,
-                     ModelSpec, MultivariateCauchyLocation, Observation,
-                     PoissonRate, PoissonSequence, average_loglik,
-                     finite_diff_third, load_banknote_csv, load_dataset_csv,
-                     third_derivative_tensor)
+                     ModelSpec, MultivariateCauchyLocation, PoissonRate,
+                     PoissonSequence, finite_diff_third, load_banknote_csv,
+                     load_dataset_csv, third_derivative_tensor)
 from .geometry import (GeometryReport, alpha_connection,
                        alpha_parallel_log_grad, equiaffinity_residual,
                        fisher_matrix_grad, geometry_at, jeffreys_log_density,

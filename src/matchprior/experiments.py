@@ -39,7 +39,6 @@ class ExperimentConfig:
     dim: int | None = None
     chain_length: int = 10000
     burnin: int = 10000
-    desk: bool = False
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -203,10 +202,6 @@ def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
     """Gap study: ridge MAP and matching-pair MAP against the Gibbs posterior
     mean, across the n grid.  Scenario 1 is random Bernoulli data, scenario 2
     a deterministic misspecified split."""
-    if config.desk:
-        config.chain_length = min(config.chain_length, 2000)
-        config.burnin = min(config.burnin, 2000)
-        config.reps = min(config.reps, 20)
     if not config.n_grid:
         config.n_grid = tuple(2 ** t for t in range(4, 10 if scenario == 1 else 12))
     reps = config.reps if scenario == 1 else 1
@@ -276,9 +271,6 @@ def run_poisson_shrinkage(config: ExperimentConfig,
     The synthetic generator alternates tiny and moderate rates; the csv
     generator reads a (periods x d) count matrix from extra["counts_csv"].
     """
-    if config.desk:
-        config.chain_length = min(config.chain_length, 5000)
-        config.burnin = min(config.burnin, 1000)
     if not config.n_grid:
         config.n_grid = (1, 10, 100, 1000)
     d = config.dim or 100

@@ -1,9 +1,10 @@
 """Model families with analytic log-likelihood derivatives.
 
-Each model exposes the per-observation log density together with its first,
-second, and third parameter derivatives and the Fisher information for a
-single observation.  All evaluators are pure functions of (data, theta) and
-safe to share across threads.
+Each model exposes the dataset-average log-likelihood (1/n) sum_t log p(y_t)
+together with its first, second, and third parameter derivatives, the
+per-observation scores and Hessians that Monte Carlo geometry averages, and
+the Fisher information of one observation.  All evaluators are pure
+functions of (data, theta) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NonFiniteLogDensity, StepTooLarge
+from .errors import NonFiniteInput, NonFiniteLogDensity, StepTooLarge
 
 
 def sigmoid(x):
@@ -49,19 +50,12 @@ def softplus(x):
 
 
 @dataclass(frozen=True)
-class Observation:
-    """A single observation: response vector plus optional covariate row."""
-
-    response: np.ndarray
-    covariates: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Stacked observations.  responses has shape (n, k); covariates (n, p) or None.
 
     Immutable: the arrays are read-only views (the caller's stay writable),
-    so the statistics cached on first use never go stale."""
+    so the statistics cached on first use never go stale.  NaN or infinite
+    entries raise NonFiniteInput here, before any model reads them."""
 
     responses: np.ndarray
     covariates: np.ndarray | None = None
@@ -72,6 +66,8 @@ class Dataset:
                 arr = np.asarray(getattr(self, name), dtype=float)
                 # a flat vector is n scalar observations, not one n-vector observation
                 arr = (arr[:, None] if arr.ndim == 1 else np.atleast_2d(arr)).view()
+                if not np.isfinite(arr).all():
+                    raise NonFiniteInput(f"{name} has non-finite entries")
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
         if self.responses.shape[0] < 1:
@@ -95,23 +91,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.responses.shape[0]
-
-    def observation(self, t: int) -> Observation:
-        cov = None if self.covariates is None else self.covariates[t]
-        return Observation(self.responses[t], cov)
-
-    @classmethod
-    def from_observations(cls, observations):
-        if not observations:
-            raise ValueError("dataset needs at least one observation")
-        resp = np.vstack([np.atleast_1d(o.response) for o in observations])
-        has_cov = [o.covariates is not None for o in observations]
-        if any(has_cov) and not all(has_cov):
-            raise ValueError("observations are structurally mixed")
-        cov = None
-        if all(has_cov):
-            cov = np.vstack([np.atleast_1d(o.covariates) for o in observations])
-        return cls(resp, cov)
 
 
 def check_point(model, theta) -> np.ndarray:
@@ -156,20 +135,7 @@ class ModelSpec:
         # point of a line search, so its arrays are built once
         return box_bounds(self.support)
 
-    # -- single observation interface -------------------------------------
-    def log_density(self, obs: Observation, theta) -> float:
-        return float(self.avg_loglik(_single(obs), theta))
-
-    def grad_logp(self, obs: Observation, theta) -> np.ndarray:
-        return self.avg_grad(_single(obs), theta)
-
-    def hess_logp(self, obs: Observation, theta) -> np.ndarray:
-        return self.avg_hess(_single(obs), theta)
-
-    def third_logp(self, obs: Observation, theta) -> np.ndarray:
-        return self.avg_third(_single(obs), theta)
-
-    # -- vectorized interface (averages over the dataset) ------------------
+    # -- averages over the dataset ----------------------------------------
     def avg_loglik(self, data: Dataset, theta) -> float:
         raise NotImplementedError
 
@@ -209,19 +175,9 @@ class ModelSpec:
         raise NotImplementedError
 
     def per_obs_score_hess(self, data: Dataset, theta):
-        """Per-observation scores (n, d) and Hessians (n, d, d).
-
-        Generic fallback loops over observations; models override with a
-        vectorized version where Monte Carlo geometry matters.
-        """
-        n, d = data.n, self.dim
-        score = np.empty((n, d))
-        hess = np.empty((n, d, d))
-        for t in range(n):
-            obs = data.observation(t)
-            score[t] = self.grad_logp(obs, theta)
-            hess[t] = self.hess_logp(obs, theta)
-        return score, hess
+        """Per-observation scores (n, d) and Hessians (n, d, d); row means are
+        avg_grad and avg_hess.  Monte Carlo geometry needs it."""
+        raise NotImplementedError(f"{type(self).__name__} has no per_obs_score_hess")
 
 
 def box_bounds(support) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +194,6 @@ def in_open_box(theta, bounds) -> bool:
     """
     lo, hi = bounds
     return bool(np.count_nonzero((lo < theta) & (theta < hi)) == theta.size)
-
-
-def _single(obs: Observation) -> Dataset:
-    return Dataset(np.atleast_2d(obs.response),
-                   None if obs.covariates is None else np.atleast_2d(obs.covariates))
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +506,6 @@ class MultivariateCauchyLocation(ModelSpec):
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def average_loglik(model: ModelSpec, data: Dataset, theta) -> float:
-    """(1/n) sum of per-observation log densities."""
-    theta = check_point(model, theta)
-    with np.errstate(all="ignore"):
-        val = model.avg_loglik(data, theta)
-    if not np.isfinite(val):
-        raise NonFiniteLogDensity(
-            f"average log-likelihood is {val} at interior point {theta}")
-    return float(val)
 
 
 def third_derivative_tensor(model: ModelSpec, data: Dataset, theta) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -42,43 +43,33 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 10")
 
 
-def _coordinate_maps(model: ModelSpec):
-    """Per-coordinate substitutions taking an unconstrained or boxed variable
-    to the parameter coordinate; (0, inf) coordinates use theta = e^u."""
-    maps = []
-    for lo, hi in model.support:
-        if lo == 0.0 and np.isinf(hi):
-            maps.append(("exp", (-np.inf, np.inf)))
-        elif np.isinf(lo) and np.isinf(hi):
-            maps.append(("id", (-np.inf, np.inf)))
-        else:
-            maps.append(("id", (lo, hi)))
-    return maps
-
-
-def _to_theta(u, maps):
-    th = np.empty(len(u))
-    with np.errstate(over="ignore"):
-        for i, (kind, _) in enumerate(maps):
-            th[i] = np.exp(u[i]) if kind == "exp" else u[i]
-    return th
-
-
-def _log_jacobian(u, maps):
-    return sum(u[i] for i, (kind, _) in enumerate(maps) if kind == "exp")
-
-
 @dataclass(frozen=True)
 class _LogWeight:
     """The log density of the integration variable u: the log posterior at
-    theta(u) plus the log Jacobian of the substitution.  It has the value,
-    grad and hess of a LogPosterior, so _maximize finds its mode."""
+    theta(u) plus the log Jacobian of the substitution.  A (0, inf)
+    coordinate is a log axis, theta = e^u; any other is integrated as it is
+    over its support interval.  It has the value, grad and hess of a
+    LogPosterior, so _maximize finds its mode."""
 
     post: LogPosterior
-    maps: list
+
+    @cached_property
+    def log_axes(self) -> np.ndarray:
+        lo, hi = self.post.model._support_bounds
+        return (lo == 0.0) & np.isinf(hi)
+
+    @cached_property
+    def box(self):
+        """(lo, hi) arrays of the u interval of each coordinate."""
+        lo, hi = self.post.model._support_bounds
+        return np.where(self.log_axes, -np.inf, lo), hi
+
+    def theta(self, u) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.where(self.log_axes, np.exp(u), u)
 
     def value(self, u) -> float:
-        return self.post.value(_to_theta(u, self.maps)) + _log_jacobian(u, self.maps)
+        return self.post.value(self.theta(u)) + u[self.log_axes].sum()
 
     def weight(self, u, ref) -> float:
         """exp(value(u) - ref), and 0 where that is not finite."""
@@ -86,18 +77,15 @@ class _LogWeight:
         with np.errstate(over="ignore"):
             return np.exp(lw) if np.isfinite(lw) else 0.0
 
-    def _chain(self, u):
-        theta = _to_theta(u, self.maps)
-        on_exp = np.array([kind == "exp" for kind, _ in self.maps])
-        return theta, on_exp, np.where(on_exp, theta, 1.0)
-
     def grad(self, u) -> np.ndarray:
-        theta, on_exp, jac = self._chain(u)
-        return jac * self.post.grad(theta) + on_exp
+        theta = self.theta(u)
+        jac = np.where(self.log_axes, theta, 1.0)
+        return jac * self.post.grad(theta) + self.log_axes
 
     def hess(self, u) -> np.ndarray:
-        theta, on_exp, jac = self._chain(u)
-        curvature = np.where(on_exp, theta * self.post.grad(theta), 0.0)
+        theta = self.theta(u)
+        jac = np.where(self.log_axes, theta, 1.0)
+        curvature = np.where(self.log_axes, theta * self.post.grad(theta), 0.0)
         return jac[:, None] * self.post.hess(theta) * jac + np.diag(curvature)
 
 
@@ -108,26 +96,23 @@ def _prepare(model: ModelSpec, data: Dataset, prior: PriorSpec, f):
     d = model.dim
     if d > 3:
         raise ValueError("quadrature oracle supports dimension <= 3")
-    maps = _coordinate_maps(model)
 
     try:
         center_theta = mle(model, data).point
     except MatchPriorError:
         center_theta = np.asarray(model.default_init(data), dtype=float)
-    u0 = np.array([np.log(center_theta[i]) if maps[i][0] == "exp"
-                   else center_theta[i] for i in range(d)])
-
-    log_weight = _LogWeight(LogPosterior(model, data, prior), maps)
+    log_weight = _LogWeight(LogPosterior(model, data, prior))
+    u0 = np.log(center_theta, out=center_theta.copy(), where=log_weight.log_axes)
     ref = log_weight.value(u0)
     if not np.isfinite(ref):
         raise ToleranceNotMet("posterior density non-finite at the center point")
 
+    lo, hi = log_weight.box
     for i in range(d):
         for sign in (-1.0, 1.0):
-            lo, hi = maps[i][1]
-            if sign < 0 and np.isfinite(lo):
+            if sign < 0 and np.isfinite(lo[i]):
                 continue
-            if sign > 0 and np.isfinite(hi):
+            if sign > 0 and np.isfinite(hi[i]):
                 continue
             near = u0.copy()
             far = u0.copy()
@@ -192,7 +177,7 @@ def _trapezoid(log_weight: _LogWeight, u0, fns, spec: QuadratureSpec):
             u = centre + scale @ (h_last * np.array(key, dtype=float))
             w = float(log_weight.weight(u, top))
             if w > 0.0:
-                theta = _to_theta(u, log_weight.maps)
+                theta = log_weight.theta(u)
                 row = (w, *(w * fn(theta) for fn in fns))
             else:
                 row = (0.0,) * (m + 1)
@@ -252,7 +237,7 @@ def _quadpack(log_weight: _LogWeight, u0, ref, fns, spec: QuadratureSpec):
     """Nested adaptive Gauss-Kronrod (QUADPACK) over u, one pass for the
     normaliser and one for each statistic, the infinite axes split at u0."""
     d = u0.shape[0]
-    maps = log_weight.maps
+    box_lo, box_hi = log_weight.box
 
     def weight(u):
         return log_weight.weight(u, ref)
@@ -267,7 +252,7 @@ def _quadpack(log_weight: _LogWeight, u0, ref, fns, spec: QuadratureSpec):
                     return fn(np.asarray(u))
                 return level(i + 1, u)
 
-            lo, hi = maps[i][1]
+            lo, hi = box_lo[i], box_hi[i]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 if np.isinf(lo) and np.isinf(hi):
@@ -309,7 +294,7 @@ def _quadpack(log_weight: _LogWeight, u0, ref, fns, spec: QuadratureSpec):
 
     def weighted(u, fn):
         w = weight(u)
-        return fn(_to_theta(u, maps)) * w if w > 0.0 else 0.0
+        return fn(log_weight.theta(u)) * w if w > 0.0 else 0.0
 
     for j, fn in enumerate(fns):
         num, num_err = integrate(lambda u, fn=fn: weighted(u, fn))

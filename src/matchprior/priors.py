@@ -174,14 +174,6 @@ def komaki_prior(beta_vec, alpha_exp, floor=0.0) -> PriorSpec:
                      opt_lower=np.full(d, floor) if floor > 0 else None)
 
 
-def scale_prior(prior: PriorSpec, log_const: float) -> PriorSpec:
-    """Multiply a prior by a positive constant; the gradient is unchanged."""
-    return PriorSpec(prior.label,
-                     lambda th: prior.log_density(th) + log_const,
-                     prior.log_grad, prior.proper, prior.support,
-                     prior.log_hess)
-
-
 # ---------------------------------------------------------------------------
 # matching-pair constructors
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.special import gammaln
 
 import matchprior as mp
-from matchprior.errors import NonFiniteLogDensity, StepTooLarge
+from matchprior.cli import main
+from matchprior.errors import NonFiniteInput, StepTooLarge
 from matchprior import models
-from matchprior.models import Observation, check_point, sigmoid, softplus
+from matchprior.models import check_point, sigmoid, softplus
 
 
 def _fd_grad(model, data, theta, h=1e-5):
@@ -86,17 +88,17 @@ def test_third_matches_finite_diff():
 def test_loglik_closed_values():
     pois = mp.PoissonRate()
     d0 = mp.Dataset(np.array([0.0]))
-    assert mp.average_loglik(pois, d0, np.array([1.0])) == pytest.approx(-1.0)
+    assert pois.avg_loglik(d0, np.array([1.0])) == pytest.approx(-1.0)
 
     gauss = mp.GaussianKnownMeanPrecision()
     dg = mp.Dataset(np.array([0.0]))
-    assert mp.average_loglik(gauss, dg, np.array([1.0])) == pytest.approx(
+    assert gauss.avg_loglik(dg, np.array([1.0])) == pytest.approx(
         -0.5 * np.log(2 * np.pi))
 
     design = np.array([[0.7, 1.0]])
     logi = mp.LogisticGLM(design)
     dl = mp.Dataset(np.array([1.0]), design)
-    assert mp.average_loglik(logi, dl, np.zeros(2)) == pytest.approx(np.log(0.5))
+    assert logi.avg_loglik(dl, np.zeros(2)) == pytest.approx(np.log(0.5))
 
 
 def test_third_closed_values():
@@ -162,29 +164,36 @@ def test_check_point_validation():
         check_point(pois, [0.0])  # boundary is outside the open support
 
 
-def test_nonfinite_loglik_raises():
-    pois = mp.PoissonRate()
-    d = mp.Dataset(np.array([np.inf]))
-    with pytest.raises(NonFiniteLogDensity):
-        mp.average_loglik(pois, d, np.array([1.0]))
+def test_nonfinite_data_raises(tmp_path):
+    y, x = np.array([0.0, 1.0]), np.ones((2, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput, match="responses"):
+            mp.Dataset(np.array([1.0, bad]), x)
+        x_bad = x.copy()
+        x_bad[1, 0] = bad
+        with pytest.raises(NonFiniteInput, match="covariates"):
+            mp.Dataset(y, x_bad)
+    # from a CSV, the command line reports it as a library error
+    runner = CliRunner()
+    for value, args in (("inf", ["--method", "map", "--prior", "gamma(2,1)"]),
+                        ("nan", ["--method", "mle"])):
+        path = tmp_path / f"{value}.csv"
+        path.write_text(f"y\n1\n{value}\n")
+        res = runner.invoke(main, ["estimate", "--model", "poisson", *args,
+                                   "--data", str(path)])
+        assert res.exit_code == 1, res.output
+        assert "Error: NonFiniteInput: " in res.output
 
 
-def test_dataset_shapes_and_observations():
+def test_dataset_shapes():
     d = mp.Dataset(np.array([1.0, 2.0, 3.0]))
     assert d.responses.shape == (3, 1)
     assert d.n == 3
-    obs = d.observation(1)
-    assert obs.response[0] == 2.0 and obs.covariates is None
 
     d2 = mp.Dataset(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert d2.covariates.shape == (2, 2)
     with pytest.raises(ValueError):
         mp.Dataset(np.array([0.0, 1.0]), np.array([[1.0, 2.0]]))
-
-    rebuilt = mp.Dataset.from_observations(
-        [d2.observation(0), d2.observation(1)])
-    assert np.allclose(rebuilt.responses, d2.responses)
-    assert np.allclose(rebuilt.covariates, d2.covariates)
 
 
 def test_dataset_arrays_are_read_only_views():
@@ -329,15 +338,35 @@ def test_csv_loaders(tmp_path):
         mp.load_banknote_csv(p5)
 
 
-def test_single_observation_interface_matches_vectorized():
-    pois = mp.PoissonSequence(2)
-    obs = Observation(np.array([2.0, 0.0]))
-    th = np.array([1.5, 0.7])
-    d = mp.Dataset(np.array([[2.0, 0.0]]))
-    assert pois.log_density(obs, th) == pytest.approx(pois.avg_loglik(d, th))
-    assert np.allclose(pois.grad_logp(obs, th), pois.avg_grad(d, th))
-    assert np.allclose(pois.hess_logp(obs, th), pois.avg_hess(d, th))
-    assert np.allclose(pois.third_logp(obs, th), pois.avg_third(d, th))
+@pytest.mark.parametrize("case", range(4), ids=["gaussian-precision",
+                                                 "poisson-seq-3", "logistic-2",
+                                                 "cauchy-2"])
+def test_per_obs_score_hess_rows_are_one_row_averages(case):
+    model, data, draw = _cases()[case]
+    theta = np.atleast_1d(draw(np.random.default_rng(6)))
+    score, hess = model.per_obs_score_hess(data, theta)
+    assert score.shape == (data.n, model.dim)
+    assert hess.shape == (data.n, model.dim, model.dim)
+    close = dict(rtol=1e-13, atol=1e-13)
+    for t in range(data.n):
+        cov = None if data.covariates is None else data.covariates[t:t + 1]
+        row = mp.Dataset(data.responses[t:t + 1], cov)
+        np.testing.assert_allclose(score[t], model.avg_grad(row, theta), **close)
+        np.testing.assert_allclose(hess[t], model.avg_hess(row, theta), **close)
+    np.testing.assert_allclose(score.mean(axis=0), model.avg_grad(data, theta), **close)
+    np.testing.assert_allclose(hess.mean(axis=0), model.avg_hess(data, theta), **close)
+
+
+def test_monte_carlo_geometry_needs_per_obs_score_hess():
+    class NoScores(mp.ModelSpec):
+        dim, family, name = 1, "custom", "no-scores"
+        support = [(-np.inf, np.inf)]
+
+        def sample(self, theta, n, rng):
+            return mp.Dataset(rng.normal(theta[0], 1.0, size=n))
+
+    with pytest.raises(NotImplementedError, match="NoScores"):
+        mp.geometry_at(NoScores(), np.array([0.0]), method="mc", seed=1)
 
 
 def test_gemm_cube_matches_einsum_definition():

@@ -5,8 +5,7 @@ import matchprior as mp
 from matchprior.errors import (FamilyMismatch, InvalidHyperparameter,
                                SupportMismatch)
 from matchprior.geometry import GeometryReport, jeffreys_log_grad
-from matchprior.priors import (alpha_pair_target_grad, parse_prior,
-                               scale_prior)
+from matchprior.priors import alpha_pair_target_grad, parse_prior
 
 
 def _fd_grad(prior, theta, h=1e-6):
@@ -65,14 +64,6 @@ def test_support_and_contains():
     # the floor is an optimizer bound, not a support restriction
     assert k.contains(np.array([1e-3, 1.0]))
     assert np.allclose(k.opt_lower, 1e-3)
-
-
-def test_scale_invariance_of_gradients():
-    g = mp.gamma_prior(2.0, 1.0)
-    s = scale_prior(g, 3.7)
-    th = np.array([1.2])
-    assert s.log_density(th) == pytest.approx(g.log_density(th) + 3.7)
-    assert np.allclose(s.log_grad(th), g.log_grad(th))
 
 
 def test_eflat_partner_gradient():
