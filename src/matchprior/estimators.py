@@ -92,7 +92,8 @@ class LogPosterior:
 
 
 def _newton_direction(neg_hess, grad):
-    """Solve neg_hess @ s = grad with ridge escalation until PD."""
+    """Solve neg_hess @ s = grad with ridge escalation until PD; returns s,
+    whether a ridge was needed, and the Cholesky factor that solved it."""
     d = grad.shape[0]
     scale = max(np.max(np.abs(neg_hess)), 1.0)
     ridge = 0.0
@@ -101,7 +102,7 @@ def _newton_direction(neg_hess, grad):
         if info == 0:
             s = dpotrs(chol, grad, lower=1)[0]
             if np.dot(s, grad) > 0:
-                return s, ridge > 0
+                return s, ridge > 0, chol
         ridge = max(2.0 * ridge, 1e-10 * scale)
     raise IndefiniteHessian("could not regularize the Hessian into an ascent direction")
 
@@ -120,6 +121,8 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
     hi_thr = upper - _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(upper)))
     # one value per point: an accepted trial's f1 becomes the next f0
     f0 = post.value(theta)
+    # free coordinates and Cholesky factor of the last Newton direction
+    last = None
     for it in range(1, max_iter + 1):
         g = post.grad(theta)
         at_lo = theta <= lo_thr
@@ -130,14 +133,22 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
             raise BoundaryStuck(
                 "all coordinates pinned to bounds with outward gradient")
         gnorm = np.linalg.norm(g[free])
-        scaled = gnorm / max(1.0, np.linalg.norm(theta))
-        if scaled < tol:
+        size = max(1.0, np.linalg.norm(theta))
+        idx = np.where(free)[0]
+        # a small gradient on a flat posterior can sit far from the maximum,
+        # so the Newton step through the last factor must be small too; with
+        # no factor for these free coordinates the gradient decides alone
+        if gnorm < tol * size and (
+                last is None or not np.array_equal(last[0], idx)
+                or np.linalg.norm(dpotrs(last[1], g[idx], lower=1)[0])
+                < tol * size):
             return theta, {"iterations": it - 1, "final_grad_norm": gnorm,
                            "converged": True, "bound_active": bool(np.any(pinned)),
                            "ridge_used": used_ridge}
         h_full = post.hess(theta)
-        idx = np.where(free)[0]
-        step_free, ridged = _newton_direction(-h_full[np.ix_(idx, idx)], g[idx])
+        step_free, ridged, chol = _newton_direction(-h_full[np.ix_(idx, idx)],
+                                                     g[idx])
+        last = (idx, chol)
         used_ridge = used_ridge or ridged
         step = np.zeros(d)
         step[idx] = step_free

@@ -29,6 +29,11 @@ from .models import (Dataset, LogisticGLM, MultivariateCauchyLocation,
 from .priors import eflat_map_partner, komaki_prior, normal_prior
 
 
+# the keys the harnesses read from ExperimentConfig.extra
+_EXTRA_KEYS = frozenset({"generator", "counts_csv", "n", "m_grid",
+                         "mcmc_burnin", "target"})
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -50,10 +55,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
+        """Fields by name; a harness key goes into extra.  Any other key,
+        top-level or inside extra, is a ValueError, so a misspelled key never
+        runs at the default."""
+        known = set(cls.__dataclass_fields__)
+        unknown = sorted((set(d) - known - _EXTRA_KEYS)
+                         | (set(d.get("extra", {})) - _EXTRA_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kw = {k: v for k, v in d.items() if k in known}
-        kw.setdefault("extra", {})
-        kw["extra"].update({k: v for k, v in d.items() if k not in known})
+        kw["extra"] = {**kw.get("extra", {}),
+                       **{k: v for k, v in d.items() if k in _EXTRA_KEYS}}
         return cls(**kw)
 
 

@@ -137,22 +137,30 @@ def rwmh(model: ModelSpec, data: Dataset, prior: PriorSpec, config: ChainConfig,
 # ---------------------------------------------------------------------------
 # exact Polya-Gamma PG(1, z) sampling (alternating-series accept-reject)
 #
-# PG(1, z) = J*(1, z/2) / 4, drawn by Devroye's scheme with truncation point
-# t (Windle, Polson & Scott 2014): an exponential proposal right of t, an
-# inverse-Gaussian IG(1/z, 1) proposal left of it, and the alternating series
-# as the accept test.  One (4, k) block of uniforms serves a whole pass:
-# row 0 picks the branch, row 1 inverts the proposal's CDF, row 2 is the IG
-# accept test and row 3 the series uniform.
+# PG(1, z) = J*(1, h) / 4 with h = |z|/2, drawn by Devroye's scheme with
+# truncation point t (Windle, Polson & Scott 2014).  J*(1, h) has density
+# cosh(h) e^{-h^2 x/2} f(x), f the J*(1) density; the envelope puts a_0, the
+# first term of f's alternating series, in place of f.  Right of t it is
+# exponential.  Left of t, for h < 1/t, it drops the tilt: a_0 is twice the
+# Levy(0, 1) density, drawn by inverse CDF, and e^{-h^2 x/2} joins the series
+# test; for h >= 1/t it is IG(1/h, 1) truncated to (0, t), drawn by
+# rejection.  One (3, k) block of uniforms serves a pass: row 0 picks the
+# branch, row 1 inverts the proposal's CDF and row 2 is the series uniform.
 
 _PG_TRUNC = 0.64
 # Phi(-1/sqrt(t)): X = 1/Z^2 with Z ~ N(0, 1) is Levy(0, 1), and X < t is
-# |Z| > 1/sqrt(t), so ndtri(v * _PG_LEVY_MASS)^-2 with v uniform on (0, 1]
-# is X given X < t
+# |Z| > 1/sqrt(t), so 1/q^2 with q = ndtri(v * _PG_LEVY_MASS), v uniform on
+# (0, 1], is X given X < t
 _PG_LEVY_MASS = float(ndtr(-1.0 / np.sqrt(_PG_TRUNC)))
+# for h < 1/t the envelope's left piece has mass 4 Phi(-1/sqrt(t)) cosh(h)
+# and its right piece (pi/2) cosh(h) e^{-f t} / f, so left over right is
+# this constant times f e^{f t}
+_PG_LEFT_RATIO = 8.0 * _PG_LEVY_MASS / np.pi
 
 
 def _pg_mass_texpon(z, fz):
-    """Probability of the exponential branch; fz = pi^2/8 + z^2/2."""
+    """Probability of the exponential branch when the left piece keeps the
+    tilt (z >= 1/TRUNC); fz = pi^2/8 + z^2/2."""
     t = _PG_TRUNC
     b = np.sqrt(1.0 / t) * (t * z - 1.0)
     a = -np.sqrt(1.0 / t) * (t * z + 1.0)
@@ -165,24 +173,12 @@ def _pg_mass_texpon(z, fz):
     return 1.0 / (1.0 + qdivp)
 
 
-def _rtlevy_tilted(rng, z, u, v):
-    """IG(1/z, 1) truncated to (0, TRUNC) for z < 1/TRUNC.
-
-    The proposal is Levy(0, 1) truncated to (0, TRUNC) by inverse CDF from u;
-    it is accepted with probability exp(-z^2 x / 2) tested against v.  Only a
-    rejected proposal is redrawn, with fresh uniforms.
-    """
-    # 1 - u lies in (0, 1], so the argument of ndtri is never 0
-    x = ndtri((1.0 - u) * _PG_LEVY_MASS) ** -2
-    rej = (v >= np.exp(-0.5 * z * z * x)).nonzero()[0]
-    while rej.size:
-        zr = z[rej]
-        u, v = rng.random((2, rej.size))
-        cand = ndtri((1.0 - u) * _PG_LEVY_MASS) ** -2
-        ok = v < np.exp(-0.5 * zr * zr * cand)
-        x[rej[ok]] = cand[ok]
-        rej = rej[~ok]
-    return x
+def _pg_mass_untilted(fz):
+    """Probability of the exponential branch when the left piece is
+    untilted (z < 1/TRUNC); fz = pi^2/8 + z^2/2."""
+    # e^{-f t} underflows to 0 where the weight is unused, never overflows
+    w = np.exp(-_PG_TRUNC * fz)
+    return w / (w + _PG_LEFT_RATIO * fz)
 
 
 def _rtigauss(rng, z):
@@ -208,19 +204,28 @@ def _rtigauss(rng, z):
         res[np.where(open_)[0]] = cand
 
 
-def _pg_propose(rng, z, fz, pexp):
-    """Proposals x for J*(1, z) and their series uniforms, from one block."""
-    u = rng.random((4, z.size))
-    x = _PG_TRUNC - np.log1p(-u[1]) / fz
-    ig = u[0] >= pexp
-    low = z < 1.0 / _PG_TRUNC
-    wide = (ig & low).nonzero()[0]
-    if wide.size:
-        x[wide] = _rtlevy_tilted(rng, z[wide], u[1, wide], u[2, wide])
-    narrow = (ig & ~low).nonzero()[0]
-    if narrow.size:
-        x[narrow] = _rtigauss(rng, z[narrow])
-    return x, u[3]
+def _pg_propose(rng, z, fz, tilt, pexp):
+    """Proposals x for J*(1, z) and their series uniforms, from one block.
+
+    A left proposal's uniform is multiplied by e^{tilt x}, so with tilt =
+    z^2/2 the series test accepts an untilted Levy draw with probability
+    e^{-z^2 x/2} f(x) / a_0(x).  A slot with z >= 1/TRUNC has tilt 0 and
+    a tilted IG draw as its left proposal.
+    """
+    u = rng.random((3, z.size))
+    # u is a multiple of 2^-53, so 1 - u is exact and lies in (0, 1]:
+    # neither log nor ndtri sees 0
+    v = 1.0 - u[1]
+    x = _PG_TRUNC - np.log(v) / fz
+    left = (u[0] >= pexp).nonzero()[0]
+    if left.size:
+        q = ndtri(v[left] * _PG_LEVY_MASS)
+        x[left] = xl = 1.0 / (q * q)
+        u[2, left] *= np.exp(tilt[left] * xl)
+        ig = left[z[left] >= 1.0 / _PG_TRUNC]
+        if ig.size:
+            x[ig] = _rtigauss(rng, z[ig])
+    return x, u[2]
 
 
 def _pg_series_accepts(x, u):
@@ -258,7 +263,7 @@ def _pg_series_accepts(x, u):
 def polya_gamma_1(rng, z) -> np.ndarray:
     """Exact draws from PG(1, z) for an array z (Devroye-type scheme).
 
-    A pass over the open slots takes one (4, k) block of uniforms; a slot
+    A pass over the open slots takes one (3, k) block of uniforms; a slot
     whose series test fails goes into the next pass, branch choice included.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -266,16 +271,25 @@ def polya_gamma_1(rng, z) -> np.ndarray:
         # the alternating series never decides a NaN slot: the loop would spin
         raise NonFiniteInput("PG(1, z) needs finite z")
     half = np.abs(z) * 0.5
-    fz = np.pi**2 / 8.0 + 0.5 * half * half
-    pexp = _pg_mass_texpon(half, fz)
+    tilt = 0.5 * half * half
+    fz = tilt + np.pi**2 / 8.0
+    pexp = _pg_mass_untilted(fz)
+    high = (half >= 1.0 / _PG_TRUNC).nonzero()[0]
+    if high.size:
+        pexp[high] = _pg_mass_texpon(half[high], fz[high])
+        tilt[high] = 0.0
     out = np.empty(half.shape)
     pending = np.arange(half.size)
-    while pending.size:
-        x, u = _pg_propose(rng, half[pending], fz[pending], pexp[pending])
+    # the per-slot arrays shrink with pending, so a pass indexes only them
+    while True:
+        x, u = _pg_propose(rng, half, fz, tilt, pexp)
         ok = _pg_series_accepts(x, u)
         out[pending[ok]] = 0.25 * x[ok]
-        pending = pending[~ok]
-    return out
+        keep = (~ok).nonzero()[0]
+        if not keep.size:
+            return out
+        pending, half, fz, tilt, pexp = (pending[keep], half[keep], fz[keep],
+                                         tilt[keep], pexp[keep])
 
 
 def polya_gamma_gibbs(design, responses, prior: PriorSpec,

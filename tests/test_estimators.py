@@ -60,16 +60,32 @@ def test_map_evaluates_each_point_once(monkeypatch):
     assert len({p[0] for p in points}) == len(points)
 
 
+@pytest.mark.parametrize("seed, cycle", [(311, 105), (4, 693)])
+def test_map_does_not_stop_short_on_a_flat_posterior(seed, cycle):
+    # on these data sets the scaled gradient fell below tol while the point
+    # was still 1.1e-10 and 1.5e-10 from the maximum; the Newton step through
+    # the last factor keeps the ascent going
+    y = np.random.default_rng(np.random.SeedSequence([seed, cycle, 3])).normal(
+        scale=0.5**0.5, size=16)
+    model = mp.GaussianKnownMeanPrecision()
+    res = mp.map_estimate(model, mp.Dataset(y),
+                          mp.eflat_map_partner(mp.gamma_prior(2.0, 1.0), model),
+                          tol=1e-11)
+    exact = mp.conjugate_pm("gaussianprecision-gamma", (2.0, 1.0), y)
+    assert res.diagnostics["converged"]
+    assert abs(res.point[0] - exact) < 1e-12
+
+
 def test_newton_direction_ridge_schedule():
     g = np.array([1.0, 1.0])
     pd = np.array([[2.0, 0.5], [0.5, 1.0]])
-    s, ridged = _newton_direction(pd, g)
+    s, ridged, _ = _newton_direction(pd, g)
     assert not ridged
     np.testing.assert_allclose(s, np.linalg.solve(pd, g), rtol=1e-14)
     # indefinite: the ridge starts at 1e-10 * max(max|H|, 1) and doubles
     # until the shifted matrix factors; 1e-10 * 2**24 is the first above 1e-3
     indef = np.diag([1.0, -1e-3])
-    s, ridged = _newton_direction(indef, g)
+    s, ridged, _ = _newton_direction(indef, g)
     assert ridged
     np.testing.assert_allclose(
         s, np.linalg.solve(indef + 1e-10 * 2.0**24 * np.eye(2), g), rtol=1e-14)

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,35 @@ def test_config_validation_and_from_dict():
         {"experiment": "x", "n_grid": [4, 8], "generator": "csv"})
     assert cfg.n_grid == (4, 8)
     assert cfg.extra["generator"] == "csv"
+    # every key a harness reads from extra is accepted, top-level or nested,
+    # so the accepted list cannot fall behind its readers
+    src = Path(mp.__file__).parent
+    read = {k for f in src.glob("*.py")
+            for k in re.findall(r'extra\.get\(\s*"(\w+)"', f.read_text())}
+    assert read >= {"generator", "counts_csv", "n", "m_grid", "mcmc_burnin",
+                    "target"}
+    for key in read:
+        for d in ({"experiment": "x", key: 1},
+                  {"experiment": "x", "extra": {key: 1}}):
+            assert ExperimentConfig.from_dict(d).extra == {key: 1}
+
+
+def test_from_dict_rejects_unknown_keys(tmp_path):
+    # a misspelled or retired key must not run the study at its defaults
+    bad = {"experiment": "logistic-s1", "rep": 20, "chain_lenght": 50,
+           "desk": True}
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_dict(bad)
+    assert str(info.value) == "unknown config keys: chain_lenght, desk, rep"
+    with pytest.raises(ValueError, match="unknown config keys: chain_lenght"):
+        ExperimentConfig.from_dict({"experiment": "logistic-s1",
+                                    "extra": {"chain_lenght": 5}})
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({**bad, "out": str(tmp_path / "out")}))
+    res = CliRunner().invoke(main, ["run", str(cfile)])
+    assert res.exit_code == 2, res.output
+    assert "unknown config keys: chain_lenght, desk, rep" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_derived_seed_is_stable():
@@ -144,6 +175,27 @@ def test_error_rows_keep_the_message(tmp_path, monkeypatch):
     rows = _read_records(mp.run_logistic_synthetic(1, cfg))
     assert [r["status"] for r in rows] == [
         "error:InvalidHyperparameter: prior precision at 0, not finite"]
+
+
+def test_logistic_study_runs_one_gibbs_chain_per_cell(tmp_path, monkeypatch):
+    # the gap-study benchmark wraps experiments.polya_gamma_gibbs and reads
+    # the ess of the ChainOutput it returns, one chain per cell
+    chains = []
+    gibbs = experiments.polya_gamma_gibbs
+
+    def counted(*args, **kwargs):
+        chains.append(gibbs(*args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(experiments, "polya_gamma_gibbs", counted)
+    cfg = ExperimentConfig(experiment="logistic-s1", out=str(tmp_path),
+                           n_grid=(16, 32), reps=2, seed=5, chain_length=50,
+                           burnin=50)
+    mp.run_logistic_synthetic(1, cfg)
+    assert len(chains) == 4
+    for chain in chains:
+        assert isinstance(chain, mp.ChainOutput)
+        assert chain.ess.shape == (2,) and np.all(np.isfinite(chain.ess))
 
 
 def test_timing_run(tmp_path):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import matchprior as mp
 from matchprior import mcmc
@@ -34,10 +35,23 @@ def test_polya_gamma_moments():
         assert np.all(draws > 0)
 
 
+def test_polya_gamma_mixed_array():
+    # one call with z on both sides of |z|/2 = 1/0.64: each slot keeps its
+    # own branch weight and left proposal
+    zs = np.array([0.5, 3.0, 3.2, 8.0])
+    n = 100_000
+    draws = polya_gamma_1(np.random.default_rng(4),
+                          np.tile(zs, n)).reshape(n, zs.size)
+    se = draws.std(axis=0) / np.sqrt(n)
+    assert np.all(np.abs(draws.mean(axis=0) - np.tanh(zs / 2) / (2 * zs))
+                  < 4 * se)
+
+
 def test_polya_gamma_variance():
     # Var[PG(1, z)] = (sinh z - z) / (4 z^3 cosh^2(z/2)); z = 0 gives 1/24.
-    # z = 3.0 and 3.2 sit either side of |z|/2 = 1/0.64, where the IG
-    # proposal switches from the tilted Levy to the untruncated-IG rejection
+    # z = 3.0 and 3.2 sit either side of |z|/2 = 1/0.64, where the left
+    # proposal switches from the untilted Levy, whose tilt joins the series
+    # test, to the untruncated-IG rejection
     rng = np.random.default_rng(3)
     n = 400_000
     for z in (0.0, 0.5, 1.5, 3.0, 3.2, 8.0):
@@ -47,6 +61,43 @@ def test_polya_gamma_variance():
         dev = draws - draws.mean()
         se = np.sqrt((np.mean(dev**4) - np.mean(dev**2) ** 2) / n)
         assert abs(np.mean(dev**2) - var) < 4 * se, z
+
+
+def _pg_gamma_sum(rng, z, size, terms=100):
+    """PG(1, z) = sum_k g_k / (2 pi^2 ((k - 1/2)^2 + z^2 / (4 pi^2))) with
+    g_k ~ Exp(1), truncated after `terms` terms plus the mean of the rest
+    (the rest's sd is below 3e-5)."""
+    c = (z / (2.0 * np.pi)) ** 2
+    k = np.arange(1, 200_000)
+    weights = 1.0 / (2.0 * np.pi**2 * ((k - 0.5) ** 2 + c))
+    out = np.empty(size)
+    for i in range(0, size, 20_000):
+        m = min(20_000, size - i)
+        out[i:i + m] = rng.standard_exponential((m, terms)) @ weights[:terms]
+    return out + weights[terms:].sum()
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, 1.5, 3.1249, 3.1251, 8.0])
+def test_polya_gamma_matches_gamma_sum_in_distribution(z):
+    # z = 3.1249 and 3.1251 sit either side of the switch |z|/2 = 1/0.64
+    rng = np.random.default_rng(int(z * 1e4) + 17)
+    draws = polya_gamma_1(rng, np.full(200_000, z))
+    ref = _pg_gamma_sum(rng, z, 200_000)
+    assert stats.ks_2samp(draws, ref).pvalue > 1e-3
+
+
+def test_polya_gamma_left_mass_and_branch_weight():
+    # a_0 left of t is (pi / 2) (2 / (pi x))^{3/2} e^{-1/(2x)}, of mass
+    # 4 Phi(-1/sqrt(t)) on (0, t)
+    t = mcmc._PG_TRUNC
+    mass, _ = integrate.quad(
+        lambda x: np.pi / 2 * (2 / (np.pi * x)) ** 1.5 * np.exp(-0.5 / x),
+        0.0, t, epsabs=1e-14, epsrel=1e-13)
+    assert abs(mass - 4.0 * mcmc._PG_LEVY_MASS) < 1e-12
+    # at z = 0 the tilt is 1, so the untilted and tilted envelopes coincide
+    f0 = np.array([np.pi**2 / 8.0])
+    assert abs(mcmc._pg_mass_untilted(f0)[0]
+               - mcmc._pg_mass_texpon(np.zeros(1), f0)[0]) < 1e-15
 
 
 @pytest.mark.parametrize("z", [100.0, 300.0])
@@ -183,6 +234,20 @@ def test_pg_gibbs_thinning_keeps_every_third_sweep():
                                             thinning=3))
     assert thin.samples.shape == (67, 2)
     assert np.array_equal(thin.samples, full.samples[::3])
+
+
+def test_pg_gibbs_draws_once_per_sweep(monkeypatch):
+    # the benchmark times mcmc.polya_gamma_1 as one PG draw per sweep
+    sizes = []
+    draw = mcmc.polya_gamma_1
+    monkeypatch.setattr(mcmc, "polya_gamma_1",
+                        lambda rng, z: sizes.append(np.size(z)) or draw(rng, z))
+    design = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 1.0]])
+    mp.polya_gamma_gibbs(design, np.array([1.0, 0.0, 1.0]),
+                         mp.normal_prior(0, 2),
+                         ChainConfig(length=40, burnin=10, seed=17,
+                                     thinning=3))
+    assert sizes == [3] * 50
 
 
 def test_pg_gibbs_indefinite_precision_raises(monkeypatch):
