@@ -10,6 +10,7 @@ timing columns aside.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -90,6 +91,7 @@ def _workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+@functools.cache
 def _git_hash() -> str | None:
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"],

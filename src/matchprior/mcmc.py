@@ -67,9 +67,8 @@ def _finalize(states, accepted, total_post, seed, extra=None):
     samples = np.asarray(states)
     mean = samples.mean(axis=0)
     se, ess = batch_means_se(samples)
-    out = ChainOutput(samples, accepted / max(total_post, 1), mean, se, ess, seed,
-                      extra or {})
-    return out
+    return ChainOutput(samples, accepted / max(total_post, 1), mean, se, ess,
+                       seed, extra or {})
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +155,10 @@ _PG_LEVY_MASS = float(ndtr(-1.0 / np.sqrt(_PG_TRUNC)))
 # and its right piece (pi/2) cosh(h) e^{-f t} / f, so left over right is
 # this constant times f e^{f t}
 _PG_LEFT_RATIO = 8.0 * _PG_LEVY_MASS / np.pi
+# Devroye's squeeze: the series test's first partial sum 1 - 3 e^{-2A} has
+# A >= min(pi^2 t / 2, 2 / t) = 3.125, so it never falls below 0.99421; only
+# slots whose series uniform exceeds this bound need the series
+_PG_SQUEEZE = 0.994
 
 
 def _pg_mass_texpon(z, fz):
@@ -187,49 +190,23 @@ def _rtigauss(rng, z):
     The mean 1/z lies inside the truncation, so untruncated IG draws
     (Michael, Schucany & Haas 1976) land below TRUNC most of the time.
     """
-    t = _PG_TRUNC
     mu = 1.0 / z
-    res = np.full(z.size, t + 1.0)
-    while True:
-        open_ = res > t
-        if not open_.any():
-            return res
-        k = int(open_.sum())
-        mua = mu[open_]
-        yv = rng.normal(size=k) ** 2
-        muy = mua * yv
-        cand = mua + 0.5 * mua * muy - 0.5 * mua * np.sqrt(4.0 * muy + muy * muy)
-        flip = rng.random(k) > mua / (mua + cand)
-        cand[flip] = mua[flip] ** 2 / cand[flip]
-        res[np.where(open_)[0]] = cand
+    res = np.empty(z.size)
+    idx = np.arange(z.size)  # the open slots, in order; mu shrinks with them
+    while idx.size:
+        yv = rng.normal(size=idx.size) ** 2
+        muy = mu * yv
+        cand = mu + 0.5 * mu * muy - 0.5 * mu * np.sqrt(4.0 * muy + muy * muy)
+        flip = rng.random(idx.size) > mu / (mu + cand)
+        cand[flip] = mu[flip] ** 2 / cand[flip]
+        res[idx] = cand
+        keep = (cand > _PG_TRUNC).nonzero()[0]
+        idx, mu = idx[keep], mu[keep]
+    return res
 
 
-def _pg_propose(rng, z, fz, tilt, pexp):
-    """Proposals x for J*(1, z) and their series uniforms, from one block.
-
-    A left proposal's uniform is multiplied by e^{tilt x}, so with tilt =
-    z^2/2 the series test accepts an untilted Levy draw with probability
-    e^{-z^2 x/2} f(x) / a_0(x).  A slot with z >= 1/TRUNC has tilt 0 and
-    a tilted IG draw as its left proposal.
-    """
-    u = rng.random((3, z.size))
-    # u is a multiple of 2^-53, so 1 - u is exact and lies in (0, 1]:
-    # neither log nor ndtri sees 0
-    v = 1.0 - u[1]
-    x = _PG_TRUNC - np.log(v) / fz
-    left = (u[0] >= pexp).nonzero()[0]
-    if left.size:
-        q = ndtri(v[left] * _PG_LEVY_MASS)
-        x[left] = xl = 1.0 / (q * q)
-        u[2, left] *= np.exp(tilt[left] * xl)
-        ig = left[z[left] >= 1.0 / _PG_TRUNC]
-        if ig.size:
-            x[ig] = _rtigauss(rng, z[ig])
-    return x, u[2]
-
-
-def _pg_series_accepts(x, u):
-    """Devroye's alternating-series test: accept x where u < f(x) / a_0(x).
+def _pg_series_rejects(x, u):
+    """Devroye's alternating-series test: reject x where u > f(x) / a_0(x).
 
     The J*(1) density is f = sum_k (-1)^k a_k with a_k(x) = pi (k + 1/2)
     exp(B(x) - (k + 1/2)^2 A(x)), where A = pi^2 x / 2, B = 0 right of t
@@ -240,10 +217,9 @@ def _pg_series_accepts(x, u):
     """
     a = np.where(x > _PG_TRUNC, 0.5 * np.pi**2 * x, 2.0 / x)
     s = 1.0 - 3.0 * np.exp(-2.0 * a)
-    accepted = u <= s
-    # the first partial sum decides almost every slot; the rest go on as
-    # index arrays
-    idx = (~accepted).nonzero()[0]
+    rejected = u > s
+    # the slots the first partial sum leaves open go on as index arrays
+    idx = rejected.nonzero()[0]
     a, s, u = a[idx], s[idx], u[idx]
     k = 1
     while idx.size:
@@ -252,19 +228,20 @@ def _pg_series_accepts(x, u):
         # odd partial sums bound f / a_0 from below, even ones from above
         if k % 2:
             done = u <= s
-            accepted[idx[done]] = True
+            rejected[idx[done]] = False
         else:
             done = u > s
         keep = (~done).nonzero()[0]
         idx, a, s, u = idx[keep], a[keep], s[keep], u[keep]
-    return accepted
+    return rejected
 
 
 def polya_gamma_1(rng, z) -> np.ndarray:
     """Exact draws from PG(1, z) for an array z (Devroye-type scheme).
 
     A pass over the open slots takes one (3, k) block of uniforms; a slot
-    whose series test fails goes into the next pass, branch choice included.
+    whose series uniform is at most _PG_SQUEEZE is accepted on one compare,
+    one that fails the series test goes into the next pass.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(np.isfinite(z)):
@@ -278,18 +255,44 @@ def polya_gamma_1(rng, z) -> np.ndarray:
     if high.size:
         pexp[high] = _pg_mass_texpon(half[high], fz[high])
         tilt[high] = 0.0
-    out = np.empty(half.shape)
-    pending = np.arange(half.size)
+    out = pending = None
     # the per-slot arrays shrink with pending, so a pass indexes only them
     while True:
-        x, u = _pg_propose(rng, half, fz, tilt, pexp)
-        ok = _pg_series_accepts(x, u)
-        out[pending[ok]] = 0.25 * x[ok]
-        keep = (~ok).nonzero()[0]
-        if not keep.size:
+        u = rng.random((3, half.size))
+        # u is a multiple of 2^-53, so 1 - u is exact and lies in (0, 1]:
+        # neither log nor ndtri sees 0
+        v = 1.0 - u[1]
+        x = _PG_TRUNC - np.log(v) / fz
+        w = u[2]
+        left = (u[0] >= pexp).nonzero()[0]
+        if left.size:
+            levy = left
+            if high.size:
+                ig = half[left] >= 1.0 / _PG_TRUNC
+                levy, ig = left[~ig], left[ig]
+                if ig.size:
+                    x[ig] = _rtigauss(rng, half[ig])
+            # the untilted Levy proposal: its series uniform carries the
+            # factor e^{tilt x}, so the test accepts with probability
+            # e^{-z^2 x/2} f(x) / a_0(x)
+            q = ndtri(v[levy] * _PG_LEVY_MASS)
+            x[levy] = xl = 1.0 / (q * q)
+            w[levy] *= np.exp(tilt[levy] * xl)
+        rejected = (w > _PG_SQUEEZE).nonzero()[0]
+        if rejected.size:
+            rejected = rejected[_pg_series_rejects(x[rejected], w[rejected])]
+        x *= 0.25
+        # a pass writes every slot it drew; the next pass overwrites those
+        # it rejected
+        if out is None:
+            out, pending = x, rejected
+        else:
+            out[pending] = x
+            pending = pending[rejected]
+        if not rejected.size:
             return out
-        pending, half, fz, tilt, pexp = (pending[keep], half[keep], fz[keep],
-                                         tilt[keep], pexp[keep])
+        half, fz, tilt, pexp = (half[rejected], fz[rejected],
+                                tilt[rejected], pexp[rejected])
 
 
 def polya_gamma_gibbs(design, responses, prior: PriorSpec,
@@ -311,11 +314,8 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     # makes every PG draw degenerate and the sampler never returns
     if not np.all(np.isfinite(p0)):
         raise InvalidHyperparameter(f"prior precision at 0 is not finite: {p0}")
-    try:
-        np.linalg.cholesky(p0)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidHyperparameter(
-            "prior precision at 0 is not positive definite") from exc
+    if dpotrf(p0, lower=1)[1]:
+        raise InvalidHyperparameter("prior precision at 0 is not positive definite")
     # for a Gaussian prior, log_grad(0) = P0 m0, so the conditional mean is
     # prec^-1 (kappa + log_grad(0))
     shift = x.T @ (y - 0.5) + prior.log_grad(zero)
@@ -359,9 +359,13 @@ def komaki_gibbs(counts, n: int, beta_vec, alpha_exp: float,
         raise InvalidHyperparameter("need beta > 0 elementwise and alpha > 0")
     if n < 1 or np.any(counts < 0):
         raise InvalidHyperparameter("need n >= 1 and nonnegative counts")
+    shape = beta_vec + counts
+    # mass near lam = 0: int r^{sum(beta + S) - alpha - 1} dr, r = sum(lam)
+    if shape.sum() <= alpha_exp:
+        raise InvalidHyperparameter(f"improper posterior: sum(beta + S) = "
+                                    f"{shape.sum():g} <= alpha = {alpha_exp:g}")
     rng = np.random.default_rng(config.seed)
     lam = counts / n + 1.0 if init is None else np.asarray(init, dtype=float).copy()
-    shape = beta_vec + counts
     total = config.burnin + config.length
     kept = []
     for it in range(total):

@@ -344,12 +344,6 @@ class LogisticGLM(ModelSpec):
         self.name = f"logistic-{self.dim}"
         self.support = [(-np.inf, np.inf)] * self.dim
 
-    @classmethod
-    def from_dataset(cls, data: Dataset):
-        if data.covariates is None:
-            raise ValueError("logistic model requires covariates")
-        return cls(data.covariates)
-
     def _design_for(self, data):
         if data.covariates is not None:
             return data.covariates

@@ -117,6 +117,43 @@ def test_polya_gamma_sign_invariance_and_determinism():
     assert np.array_equal(d1, d2)
 
 
+# PG(1, z) draws and the PCG64 state after them, recorded from the sampler
+# as it stood before the squeeze: seed 28 on the slots below takes three
+# passes and IG rounds on the slots at and above |z|/2 = 1/0.64
+_PG_PINNED_Z = np.repeat([0.0, 0.5, 2.9, 3.2, 3.5, 8.0, 100.0], 3)
+_PG_PINNED = [
+    0.11397606263714387, 0.12932946776243898, 0.0836591206388287,
+    0.1776823735714435, 0.4223347538903923, 0.28867876656203506,
+    0.12017954348081214, 0.03360758188759579, 0.314037169982181,
+    0.045824664376367924, 0.15890520087231266, 0.13333238917487128,
+    0.09240245533200576, 0.1740808063271901, 0.11265727973964715,
+    0.06864480522232078, 0.06023046089251949, 0.066236011490209,
+    0.004606070518185719, 0.00458187111715661, 0.004967615326086891]
+
+
+def test_polya_gamma_stream_is_pinned():
+    # the exact stream keeps the Gibbs chains, and so every gap study,
+    # reproducible across versions of the sampler
+    rng = np.random.default_rng(28)
+    draws = polya_gamma_1(rng, _PG_PINNED_Z)
+    np.testing.assert_allclose(draws, _PG_PINNED, rtol=1e-12)
+    assert (rng.bit_generator.state["state"]["state"]
+            == 278059539079590822960839300155323229983)
+    rng = np.random.default_rng(29)
+    draws = polya_gamma_1(rng, np.random.default_rng(6).normal(0.0, 2.0, 4096))
+    assert draws.sum() == pytest.approx(841.9270249177491, rel=1e-12)
+    assert (rng.bit_generator.state["state"]["state"]
+            == 35018962869002039825678036668888347557)
+
+
+def test_polya_gamma_squeeze_lies_below_first_partial_sum():
+    # the series test's first partial sum is 1 - 3 e^{-2A}, with A = 2 / x
+    # left of t and pi^2 x / 2 right of it, so its minimum sits at x = t
+    t = mcmc._PG_TRUNC
+    floor = 1.0 - 3.0 * np.exp(-2.0 * min(np.pi**2 * t / 2.0, 2.0 / t))
+    assert 0.99 < mcmc._PG_SQUEEZE < floor
+
+
 class _NoDraws:
     """A generator stand-in that fails on any draw."""
 
@@ -297,6 +334,9 @@ def test_komaki_gibbs_validation_and_determinism():
         mp.komaki_gibbs(np.array([1.0]), 0, np.array([3.0]), 2.0, cfg)
     with pytest.raises(InvalidHyperparameter):
         mp.komaki_gibbs(np.array([-1.0]), 2, np.array([3.0]), 2.0, cfg)
+    # sum(beta + S) = 4 <= alpha = 4: the posterior is improper at 0
+    with pytest.raises(InvalidHyperparameter):
+        mp.komaki_gibbs(np.array([1.0, 0.0]), 2, np.array([2.0, 1.0]), 4.0, cfg)
     c1 = mp.komaki_gibbs(np.array([1.0, 5.0]), 2, np.array([3.0, 3.0]), 5.0, cfg)
     c2 = mp.komaki_gibbs(np.array([1.0, 5.0]), 2, np.array([3.0, 3.0]), 5.0, cfg)
     assert np.array_equal(c1.samples, c2.samples)
