@@ -33,6 +33,10 @@ class ChainConfig:
             raise ValueError("need length > 0 and burnin >= 0")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
+        # batch means need two kept draws
+        if -(-self.length // self.thinning) < 2:
+            raise ValueError(f"length {self.length} with thinning "
+                             f"{self.thinning} keeps fewer than 2 draws")
         if self.step_scale is not None and self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
 
@@ -51,6 +55,8 @@ class ChainOutput:
 def batch_means_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch-means Monte Carlo standard error and effective sample size."""
     m = samples.shape[0]
+    if m < 2:
+        raise ValueError(f"batch means need at least 2 rows, got {m}")
     nb = max(int(np.floor(np.sqrt(m))), 2)
     bs = m // nb
     trimmed = samples[: nb * bs]
@@ -145,6 +151,13 @@ def rwmh(model: ModelSpec, data: Dataset, prior: PriorSpec, config: ChainConfig,
 # test; for h >= 1/t it is IG(1/h, 1) truncated to (0, t), drawn by
 # rejection.  One (3, k) block of uniforms serves a pass: row 0 picks the
 # branch, row 1 inverts the proposal's CDF and row 2 is the series uniform.
+#
+# polya_gamma_1 on a Generator runs that scheme on every slot.  A Gibbs chain
+# instead passes its PGPool: PG(1, z) is PG(1, 0) tilted by e^{-z^2 w/2}, so
+# when every |z|/2 of a sweep is below the switch, each slot accepts PG(1, 0)
+# draws made ahead of time with probability e^{-z^2 w/2}, at least
+# 1/cosh(1) = 0.65 per draw.  A sweep with any slot at or above the switch
+# runs the Devroye scheme on all its slots.
 
 _PG_TRUNC = 0.64
 # Phi(-1/sqrt(t)): X = 1/Z^2 with Z ~ N(0, 1) is Levy(0, 1), and X < t is
@@ -159,6 +172,11 @@ _PG_LEFT_RATIO = 8.0 * _PG_LEVY_MASS / np.pi
 # A >= min(pi^2 t / 2, 2 / t) = 3.125, so it never falls below 0.99421; only
 # slots whose series uniform exceeds this bound need the series
 _PG_SQUEEZE = 0.994
+# a chain's PGPool serves a draw whose every |z|/2 is below _PG_POOL_SWITCH
+# (z^2/2 below _PG_POOL_TILT) and refills _PG_POOL_BLOCK entries at a time
+_PG_POOL_SWITCH = 1.0
+_PG_POOL_TILT = 2.0 * _PG_POOL_SWITCH**2
+_PG_POOL_BLOCK = 4096
 
 
 def _pg_mass_texpon(z, fz):
@@ -236,17 +254,13 @@ def _pg_series_rejects(x, u):
     return rejected
 
 
-def polya_gamma_1(rng, z) -> np.ndarray:
-    """Exact draws from PG(1, z) for an array z (Devroye-type scheme).
+def _pg_devroye(rng, z):
+    """Exact PG(1, z) draws for a finite float array z (Devroye-type scheme).
 
     A pass over the open slots takes one (3, k) block of uniforms; a slot
     whose series uniform is at most _PG_SQUEEZE is accepted on one compare,
     one that fails the series test goes into the next pass.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(np.isfinite(z)):
-        # the alternating series never decides a NaN slot: the loop would spin
-        raise NonFiniteInput("PG(1, z) needs finite z")
     half = np.abs(z) * 0.5
     tilt = 0.5 * half * half
     fz = tilt + np.pi**2 / 8.0
@@ -295,6 +309,71 @@ def polya_gamma_1(rng, z) -> np.ndarray:
                                 tilt[rejected], pexp[rejected])
 
 
+class PGPool:
+    """A chain's private supply of exact PG(1, 0) draws, each handed out once.
+
+    PG(1, z) has density cosh(z/2) e^{-z^2 w/2} p_0(w), p_0 the PG(1, 0)
+    density, so an entry w with its Exp(1) variate E is a PG(1, z) draw when
+    E >= z^2 w/2, which happens with probability 1/cosh(z/2).  Entries come
+    from _pg_devroye at z = 0 on the chain's generator, _PG_POOL_BLOCK at a
+    time.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self._omega = self._ratio = np.empty(0)
+        self._next = 0
+
+    def take(self, k):
+        """The next k entries: the PG(1, 0) draws w and the ratios E / w."""
+        start = self._next
+        short = start + k - self._omega.size
+        if short > 0:
+            size = -(-short // _PG_POOL_BLOCK) * _PG_POOL_BLOCK
+            w = _pg_devroye(self.rng, np.zeros(size))
+            ratio = self.rng.standard_exponential(size) / w
+            self._omega = np.concatenate((self._omega[start:], w))
+            self._ratio = np.concatenate((self._ratio[start:], ratio))
+            start = 0
+        self._next = start + k
+        return self._omega[start:start + k], self._ratio[start:start + k]
+
+    def draw(self, z):
+        """Exact PG(1, z) draws for a finite float array z.
+
+        When every |z|/2 is below _PG_POOL_SWITCH, each slot takes entries
+        until one is kept; otherwise the whole array takes Devroye draws,
+        whose passes carry the low slots almost for free.
+        """
+        tilt = 0.5 * z * z
+        if not np.all(tilt < _PG_POOL_TILT):
+            return _pg_devroye(self.rng, z)
+        omega, ratio = self.take(z.size)
+        out = omega.copy()
+        # a round writes every open slot; the next overwrites those it missed
+        missed = (ratio < tilt).nonzero()[0]
+        while missed.size:
+            omega, ratio = self.take(missed.size)
+            out[missed] = omega
+            missed = missed[(ratio < tilt[missed]).nonzero()[0]]
+        return out
+
+
+def polya_gamma_1(source, z) -> np.ndarray:
+    """Exact draws from PG(1, z) for an array z.
+
+    source is a numpy Generator, for Devroye draws on every slot, or a
+    chain's PGPool.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(np.isfinite(z)):
+        # the alternating series never decides a NaN slot: the loop would spin
+        raise NonFiniteInput("PG(1, z) needs finite z")
+    if isinstance(source, PGPool):
+        return source.draw(z)
+    return _pg_devroye(source, z)
+
+
 def polya_gamma_gibbs(design, responses, prior: PriorSpec,
                       config: ChainConfig, init=None) -> ChainOutput:
     """Gibbs sampler for Bayesian logistic regression via PG augmentation.
@@ -321,10 +400,11 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     shift = x.T @ (y - 0.5) + prior.log_grad(zero)
     xx = row_outer(x)
     rng = np.random.default_rng(config.seed)
+    pool = PGPool(rng)
     beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
     samples = np.empty((-(-config.length // config.thinning), d))
     for it in range(config.burnin + config.length):
-        omega = polya_gamma_1(rng, x @ beta)
+        omega = polya_gamma_1(pool, x @ beta)
         prec = (omega @ xx).reshape(d, d) + p0
         chol, info = dpotrf(prec, lower=1)
         if info:

@@ -205,7 +205,8 @@ def test_criterion_07_logistic_gap_ordering(tmp_path):
     t0 = time.perf_counter()
     cfg = ExperimentConfig(experiment="logistic-s1", out=str(tmp_path),
                            n_grid=(16, 32, 64, 128, 256, 512), reps=20,
-                           seed=707, chain_length=2000, burnin=2000)
+                           seed=707, chain_length=2000, burnin=2000,
+                           extra={"reference": "pm-oracle"})
     out = mp.run_logistic_synthetic(1, cfg)
     with open(out / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

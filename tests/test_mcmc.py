@@ -21,6 +21,11 @@ def test_chain_config_validation():
         ChainConfig(length=10, thinning=0)
     with pytest.raises(ValueError):
         ChainConfig(length=10, step_scale=0.0)
+    # batch means need two kept draws
+    for length, thinning in ((1, 1), (3, 3)):
+        with pytest.raises(ValueError, match="keeps fewer than 2 draws"):
+            ChainConfig(length=length, thinning=thinning)
+    assert ChainConfig(length=4, thinning=3).length == 4
 
 
 def test_polya_gamma_moments():
@@ -77,11 +82,19 @@ def _pg_gamma_sum(rng, z, size, terms=100):
     return out + weights[terms:].sum()
 
 
-@pytest.mark.parametrize("z", [0.0, 0.5, 1.5, 3.1249, 3.1251, 8.0])
-def test_polya_gamma_matches_gamma_sum_in_distribution(z):
-    # z = 3.1249 and 3.1251 sit either side of the switch |z|/2 = 1/0.64
+_PG_KS_Z = [0.0, 0.5, 1.5, 1.99, 2.01, 3.1249, 3.1251, 8.0]
+
+
+# a generator case keeps the bare z as its test id
+@pytest.mark.parametrize("z, source", [
+    *(pytest.param(z, "generator", id=str(z)) for z in _PG_KS_Z),
+    *(pytest.param(z, "pool", id=f"{z}-pool") for z in _PG_KS_Z)])
+def test_polya_gamma_matches_gamma_sum_in_distribution(z, source):
+    # z = 1.99 and 2.01 sit either side of the pool's switch |z|/2 = 1,
+    # z = 3.1249 and 3.1251 either side of the Devroye switch |z|/2 = 1/0.64
     rng = np.random.default_rng(int(z * 1e4) + 17)
-    draws = polya_gamma_1(rng, np.full(200_000, z))
+    src = rng if source == "generator" else mcmc.PGPool(rng)
+    draws = polya_gamma_1(src, np.full(200_000, z))
     ref = _pg_gamma_sum(rng, z, 200_000)
     assert stats.ks_2samp(draws, ref).pvalue > 1e-3
 
@@ -146,6 +159,39 @@ def test_polya_gamma_stream_is_pinned():
             == 35018962869002039825678036668888347557)
 
 
+# a short Gibbs chain on its pool and the PCG64 state after it, recorded from
+# the pooled sampler as introduced: sweeps 1, 6, 8 and 9 draw from the pool,
+# the others have a slot at or above |z|/2 = 1 and run the Devroye scheme
+_PG_CHAIN_PINNED = [
+    0.06684262404076044, -1.4297332239780385, 0.29864165912542023,
+    0.6215740382871969, 0.17829222573832998, 0.06938515468081353,
+    -0.12347535236052559, 0.20363340135315167, 0.4148054590558607,
+    1.1178055454041855, 0.6313144034553054, 0.21785619346008064]
+
+
+def test_pg_gibbs_pooled_chain_is_pinned(monkeypatch):
+    sources, pooled = [], []
+    draw = mcmc.polya_gamma_1
+
+    def spy(source, z):
+        sources.append(source)
+        pooled.append(bool(np.all(np.abs(z) < 2 * mcmc._PG_POOL_SWITCH)))
+        return draw(source, z)
+
+    monkeypatch.setattr(mcmc, "polya_gamma_1", spy)
+    design = np.column_stack([np.linspace(-5.0, 5.0, 6), np.ones(6)])
+    chain = mp.polya_gamma_gibbs(design, np.array([0, 0, 1, 0, 1, 1.0]),
+                                 mp.normal_prior(0, 2),
+                                 ChainConfig(length=6, burnin=4, seed=31))
+    assert pooled == [True] + [False] * 4 + [True, False, True, True, False]
+    assert all(s is sources[0] and isinstance(s, mcmc.PGPool)
+               for s in sources)
+    np.testing.assert_allclose(chain.samples.ravel(), _PG_CHAIN_PINNED,
+                               rtol=1e-12)
+    assert (sources[0].rng.bit_generator.state["state"]["state"]
+            == 63678637510422810869910526439825706456)
+
+
 def test_polya_gamma_squeeze_lies_below_first_partial_sum():
     # the series test's first partial sum is 1 - 3 e^{-2A}, with A = 2 / x
     # left of t and pi^2 x / 2 right of it, so its minimum sits at x = t
@@ -165,9 +211,35 @@ def test_polya_gamma_rejects_nonfinite_z_before_drawing():
     # the alternating series never decides a NaN slot, so without the check
     # the sampler would loop forever; _NoDraws turns that into a failure
     for bad in ([0.5, np.nan], [np.inf], [-np.inf, 1.0]):
-        with pytest.raises(NonFiniteInput):
-            polya_gamma_1(_NoDraws(), np.array(bad))
+        for source in (_NoDraws(), mcmc.PGPool(_NoDraws())):
+            with pytest.raises(NonFiniteInput):
+                polya_gamma_1(source, np.array(bad))
     assert issubclass(NonFiniteInput, MatchPriorError)
+
+
+def test_pg_pool_hands_out_each_entry_once():
+    # the pool's entries in order, as a second pool on the same seed sees
+    # them when it refills one block at a time
+    ref = mcmc.PGPool(np.random.default_rng(21))
+    entries = np.concatenate([ref.take(mcmc._PG_POOL_BLOCK)[0]
+                              for _ in range(3)])
+    pool = mcmc.PGPool(np.random.default_rng(21))
+    # at z = 0 every entry is kept: a draw is the next consecutive entries
+    np.testing.assert_array_equal(polya_gamma_1(pool, np.zeros(5)),
+                                  entries[:5])
+    assert pool._omega.size == mcmc._PG_POOL_BLOCK
+    # near the switch about 1 entry in 3 is discarded; a kept entry is
+    # never handed out again, and neither is a discarded one, across the
+    # refill this draw makes
+    kept = polya_gamma_1(pool, np.full(3500, 1.9))
+    where = {v: i for i, v in enumerate(entries)}
+    pos = np.array([where[v] for v in kept])
+    used = where[pool._omega[0]] + pool._next
+    assert pos.min() >= 5 and pos.max() < used
+    assert np.unique(pos).size == kept.size
+    assert used > max(1.4 * kept.size, mcmc._PG_POOL_BLOCK)
+    np.testing.assert_array_equal(polya_gamma_1(pool, np.zeros(3)),
+                                  entries[used:used + 3])
 
 
 def test_batch_means_se_iid_scale():
@@ -176,6 +248,11 @@ def test_batch_means_se_iid_scale():
     se, ess = batch_means_se(x)
     assert se[0] == pytest.approx(1.0 / np.sqrt(40_000), rel=0.25)
     assert 0.5 * 40_000 < ess[0] <= 40_000
+    # the Cauchy m_grid path slices a chain directly
+    for rows in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            batch_means_se(x[:rows])
+    assert batch_means_se(x[:2])[0].shape == (1,)
 
 
 def test_rwmh_conjugate_poisson():
