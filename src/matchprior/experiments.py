@@ -27,15 +27,12 @@ from .mcmc import (ChainConfig, batch_means_se, komaki_gibbs,
                    polya_gamma_gibbs, rwmh)
 from .models import (Dataset, LogisticGLM, MultivariateCauchyLocation,
                      PoissonSequence, sigmoid)
-from .oracle import quad_posterior_expectation
 from .priors import eflat_map_partner, komaki_prior, normal_prior
 
 
 # the keys the harnesses read from ExperimentConfig.extra
 _EXTRA_KEYS = frozenset({"generator", "counts_csv", "n", "m_grid",
-                         "mcmc_burnin", "target", "reference"})
-# the posterior means a logistic study can judge its MAPs against
-_LOGISTIC_REFERENCES = ("pm-gibbs", "pm-oracle")
+                         "mcmc_burnin", "target"})
 
 
 @dataclass
@@ -187,26 +184,21 @@ def _logistic_cell(scenario, n, rep, config: ExperimentConfig):
     model = LogisticGLM(design)
     data = Dataset(responses=y, covariates=design)
     ridge = normal_prior(0.0, 1.0)
-    reference = config.extra.get("reference", "pm-gibbs")
     rows = []
 
     t0 = time.perf_counter()
     try:
-        # the mc_se column carries the chain's standard error or the
-        # oracle's error bound
-        if reference == "pm-oracle":
-            pm, se = quad_posterior_expectation(model, data, ridge)
-        else:
-            chain = polya_gamma_gibbs(
-                design, y, ridge,
-                ChainConfig(length=config.chain_length, burnin=config.burnin,
-                            seed=derived_seed(cell_seed, 1)))
-            pm, se = chain.posterior_mean, chain.mc_se
+        chain = polya_gamma_gibbs(
+            design, y, ridge,
+            ChainConfig(length=config.chain_length, burnin=config.burnin,
+                        seed=derived_seed(cell_seed, 1)))
+        pm = chain.posterior_mean
     except MatchPriorError as exc:
-        rows.append(_error_row(tag, n, rep, reference, exc))
+        rows.append(_error_row(tag, n, rep, "pm-gibbs", exc))
         return rows
     t_pm = time.perf_counter() - t0
-    rows.append(_gap_row(tag, n, rep, reference, pm, pm, t_pm, mc_se=se))
+    rows.append(_gap_row(tag, n, rep, "pm-gibbs", pm, pm, t_pm,
+                         mc_se=chain.mc_se))
 
     for label, prior in (("map-ridge", ridge),
                          ("map-matching", eflat_map_partner(ridge, model))):
@@ -221,15 +213,9 @@ def _logistic_cell(scenario, n, rep, config: ExperimentConfig):
 
 
 def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
-    """Gap study: ridge MAP and matching-pair MAP against the ridge posterior
+    """Gap study: ridge MAP and matching-pair MAP against the Gibbs posterior
     mean, across the n grid.  Scenario 1 is random Bernoulli data, scenario 2
-    a deterministic misspecified split.  extra["reference"] picks the
-    posterior mean: "pm-gibbs" (default), a Polya-Gamma Gibbs chain, or
-    "pm-oracle", the quadrature oracle."""
-    reference = config.extra.get("reference", "pm-gibbs")
-    if reference not in _LOGISTIC_REFERENCES:
-        raise ValueError(f"unknown reference {reference!r}; use one of "
-                         f"{', '.join(_LOGISTIC_REFERENCES)}")
+    a deterministic misspecified split."""
     if not config.n_grid:
         config.n_grid = tuple(2 ** t for t in range(4, 10 if scenario == 1 else 12))
     reps = config.reps if scenario == 1 else 1
@@ -240,7 +226,7 @@ def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
                 lambda c: _logistic_cell(scenario, c[0], c[1], config), cells):
             rows.extend(part)
     return _write_outputs(config, rows, {"scenario": scenario,
-                                         "reference": reference})
+                                         "reference": "pm-gibbs"})
 
 
 # ---------------------------------------------------------------------------

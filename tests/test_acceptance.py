@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 import matchprior as mp
 from matchprior.cli import main as cli_main
-from matchprior.experiments import ExperimentConfig
+from matchprior.experiments import (ExperimentConfig, derived_seed,
+                                    logistic_design, logistic_scenario_data)
 from matchprior.geometry import (alpha_connection, alpha_parallel_log_grad,
                                  geometry_at, jeffreys_log_grad)
 from matchprior.mcmc import ChainConfig
@@ -202,23 +203,37 @@ def test_criterion_06_expansion_slopes():
 
 
 def test_criterion_07_logistic_gap_ordering(tmp_path):
+    # both MAPs are judged against the exact posterior mean of each cell,
+    # rebuilt from the cell's seed, not against the study's Gibbs chain: on
+    # one seed the chain's error hides the ordering at n = 512
     t0 = time.perf_counter()
     cfg = ExperimentConfig(experiment="logistic-s1", out=str(tmp_path),
                            n_grid=(16, 32, 64, 128, 256, 512), reps=20,
-                           seed=707, chain_length=2000, burnin=2000,
-                           extra={"reference": "pm-oracle"})
+                           seed=707, chain_length=2000, burnin=2000)
     out = mp.run_logistic_synthetic(1, cfg)
-    with open(out / "summary.csv", newline="") as fh:
+    with open(out / "records.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    means = {(int(r["n"]), r["estimator"]): float(r["mean_gap_l2"])
-             for r in rows}
-    ok = all(means[(n, "map-matching")] < means[(n, "map-ridge")]
-             for n in (64, 128, 256, 512))
+    maps = {(int(r["n"]), int(r["rep"]), r["estimator"]):
+            np.array(r["estimate"].split(";"), dtype=float)
+            for r in rows if r["estimator"] in ("map-ridge", "map-matching")}
+    prior = mp.normal_prior(0.0, 1.0)
+    means = {}
+    for n in (64, 128, 256, 512):
+        design = logistic_design(n)
+        model = mp.LogisticGLM(design)
+        gaps = {"map-ridge": [], "map-matching": []}
+        for rep in range(cfg.reps):
+            y = logistic_scenario_data(
+                1, n, np.random.default_rng(derived_seed(cfg.seed, 1, n, rep)))
+            pm, _ = mp.quad_posterior_expectation(model, mp.Dataset(y, design),
+                                                  prior)
+            for label, g in gaps.items():
+                g.append(np.linalg.norm(maps[(n, rep, label)] - pm))
+        means[n] = (np.mean(gaps["map-matching"]), np.mean(gaps["map-ridge"]))
+    ok = all(m < r for m, r in means.values())
     elapsed = time.perf_counter() - t0
-    detail = ", ".join(
-        f"n={n}: {means[(n, 'map-matching')]:.3f}<{means[(n, 'map-ridge')]:.3f}"
-        for n in (64, 128, 256, 512))
-    _report(7, "logistic synthetic gap ordering",
+    detail = ", ".join(f"n={n}: {m:.3f}<{r:.3f}" for n, (m, r) in means.items())
+    _report(7, "logistic synthetic gap ordering against the oracle",
             ok and elapsed < 300, detail + f", {elapsed:.0f}s")
 
 

@@ -203,49 +203,6 @@ def test_logistic_study_runs_one_gibbs_chain_per_cell(tmp_path, monkeypatch):
         assert chain.ess.shape == (2,) and np.all(np.isfinite(chain.ess))
 
 
-def test_logistic_oracle_reference(tmp_path, monkeypatch):
-    def no_chain(*args, **kwargs):
-        raise AssertionError("a Gibbs chain ran")
-
-    monkeypatch.setattr(experiments, "polya_gamma_gibbs", no_chain)
-    cfg = ExperimentConfig(experiment="logistic-s1", out=str(tmp_path / "a"),
-                           n_grid=(16,), reps=1, seed=5,
-                           extra={"reference": "pm-oracle"})
-    out = mp.run_logistic_synthetic(1, cfg)
-    by = {r["estimator"]: r for r in _read_records(out)}
-    assert set(by) == {"pm-oracle", "map-ridge", "map-matching"}
-    assert json.loads((out / "meta.json").read_text())["reference"] == \
-        "pm-oracle"
-    # the cell's own data, judged against the oracle's mean and bound
-    y = logistic_scenario_data(
-        1, 16, np.random.default_rng(derived_seed(5, 1, 16, 0)))
-    design = logistic_design(16)
-    model = mp.LogisticGLM(design)
-    data = mp.Dataset(y, design)
-    prior = mp.normal_prior(0.0, 1.0)
-    ref, err = mp.quad_posterior_expectation(model, data, prior)
-    assert by["pm-oracle"]["estimate"] == experiments._join(ref)
-    assert by["pm-oracle"]["mc_se"] == experiments._join(err)
-    assert np.all(err < 1e-9)
-    ridge = mp.map_estimate(model, data, prior).point
-    assert float(by["map-ridge"]["gap_l2"]) == pytest.approx(
-        np.linalg.norm(ridge - ref), rel=1e-9)
-
-    # any other reference names itself, through the library and the CLI
-    with pytest.raises(ValueError, match="unknown reference 'pm-rwmh'"):
-        mp.run_logistic_synthetic(1, ExperimentConfig(
-            experiment="logistic-s1", out=str(tmp_path / "b"), n_grid=(16,),
-            extra={"reference": "pm-rwmh"}))
-    assert not (tmp_path / "b").exists()
-    cfile = tmp_path / "cfg.json"
-    cfile.write_text(json.dumps({"experiment": "logistic-s2", "n_grid": [16],
-                                 "reference": "oracle",
-                                 "out": str(tmp_path / "c")}))
-    res = CliRunner().invoke(main, ["run", str(cfile)])
-    assert res.exit_code == 2, res.output
-    assert "unknown reference 'oracle'" in res.output
-
-
 def test_timing_run(tmp_path):
     cfg = ExperimentConfig(experiment="timing", out=str(tmp_path),
                            n_grid=(8, 16), reps=3, seed=5, chain_length=100,

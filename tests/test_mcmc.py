@@ -82,13 +82,13 @@ def _pg_gamma_sum(rng, z, size, terms=100):
     return out + weights[terms:].sum()
 
 
-_PG_KS_Z = [0.0, 0.5, 1.5, 1.99, 2.01, 3.1249, 3.1251, 8.0]
-
-
-# a generator case keeps the bare z as its test id
+# a generator case keeps the bare z as its test id; the pool runs only on
+# z below its switch |z|/2 = 1, since above it the pool takes the
+# generator's draws (test_pg_pool_takes_devroye_draws_above_switch)
 @pytest.mark.parametrize("z, source", [
-    *(pytest.param(z, "generator", id=str(z)) for z in _PG_KS_Z),
-    *(pytest.param(z, "pool", id=f"{z}-pool") for z in _PG_KS_Z)])
+    *(pytest.param(z, "generator", id=str(z))
+      for z in (0.0, 0.5, 1.5, 1.99, 2.01, 3.1249, 3.1251, 8.0)),
+    *(pytest.param(z, "pool", id=f"{z}-pool") for z in (0.0, 0.5, 1.5, 1.99))])
 def test_polya_gamma_matches_gamma_sum_in_distribution(z, source):
     # z = 1.99 and 2.01 sit either side of the pool's switch |z|/2 = 1,
     # z = 3.1249 and 3.1251 either side of the Devroye switch |z|/2 = 1/0.64
@@ -97,6 +97,14 @@ def test_polya_gamma_matches_gamma_sum_in_distribution(z, source):
     draws = polya_gamma_1(src, np.full(200_000, z))
     ref = _pg_gamma_sum(rng, z, 200_000)
     assert stats.ks_2samp(draws, ref).pvalue > 1e-3
+
+
+def test_pg_pool_takes_devroye_draws_above_switch():
+    z = np.full(64, 2.01)
+    pool = mcmc.PGPool(np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    assert np.array_equal(polya_gamma_1(pool, z), polya_gamma_1(rng, z))
+    assert pool.rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_polya_gamma_left_mass_and_branch_weight():
