@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from pathlib import Path
 
 import click
@@ -25,7 +24,7 @@ from .models import (GaussianKnownMeanPrecision, LogisticGLM,
                      MultivariateCauchyLocation, PoissonRate, PoissonSequence,
                      load_banknote_csv, load_dataset_csv)
 from .oracle import QuadratureSpec, quad_posterior_expectation
-from .priors import parse_prior
+from .priors import _split_call, parse_prior
 
 
 def _jsonable(obj):
@@ -80,17 +79,13 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-_PLAIN_KOMAKI = re.compile(r"komaki\(([^()]*)\)")
-
-
 def _komaki_args(prior_text: str) -> tuple[float, float]:
     """(beta, alpha) of a plain komaki(beta,alpha[,floor]) prior string."""
-    m = _PLAIN_KOMAKI.fullmatch(prior_text.strip())
     try:
-        args = [float(v) for v in m.group(1).split(",")] if m else []
+        name, args = _split_call(prior_text.strip())
     except ValueError:
-        args = []
-    if len(args) not in (2, 3):
+        name, args = "", []
+    if name != "komaki" or len(args) not in (2, 3):
         raise click.UsageError(
             "komaki-gibbs needs a plain komaki(beta,alpha[,floor]) prior, "
             f"got {prior_text!r}")
@@ -274,8 +269,7 @@ def run(config_path):
     if name in ("logistic-s1", "logistic-s2"):
         out = experiments.run_logistic_synthetic(int(name[-1]), config)
     elif name == "poisson-shrinkage":
-        out = experiments.run_poisson_shrinkage(
-            config, generator=config.extra.get("generator", "synthetic"))
+        out = experiments.run_poisson_shrinkage(config)
     elif name == "cauchy-calibration":
         out = experiments.run_cauchy_calibration(config)
     elif name == "timing":

@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import os
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from .errors import MatchPriorError
 from .estimators import calibrate_pm_from_map, map_estimate
-from .mcmc import (ChainConfig, batch_means_se, komaki_gibbs,
+from .mcmc import (ChainConfig, ChainOutput, batch_means_se, komaki_gibbs,
                    polya_gamma_gibbs, rwmh)
 from .models import (Dataset, LogisticGLM, MultivariateCauchyLocation,
                      PoissonSequence, sigmoid)
@@ -48,17 +46,30 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, low in (("reps", 1), ("seed", 0), ("chain_length", 1),
+                          ("burnin", 0), ("dim", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low
+                    or name == "dim" and value is None):
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+        if not (isinstance(self.n_grid, (list, tuple))
+                and all(_is_int(v) and v >= 1 for v in self.n_grid)):
+            raise ValueError("n_grid must be a list of positive integers, "
+                             f"got {self.n_grid!r}")
         self.n_grid = tuple(int(v) for v in self.n_grid)
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ValueError("n grid must be strictly increasing")
-        if self.reps < 1:
-            raise ValueError("repetitions must be >= 1")
+            raise ValueError("n_grid must be strictly increasing")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Fields by name; a harness key goes into extra.  Any other key,
         top-level or inside extra, is a ValueError, so a misspelled key never
         runs at the default."""
+        if not (isinstance(d, dict) and isinstance(d.get("experiment"), str)
+                and isinstance(d.get("extra", {}), dict)):
+            raise ValueError("a config is an object with a string experiment "
+                             "and, if given, an object extra")
         known = set(cls.__dataclass_fields__)
         unknown = sorted((set(d) - known - _EXTRA_KEYS)
                          | (set(d.get("extra", {})) - _EXTRA_KEYS))
@@ -68,6 +79,10 @@ class ExperimentConfig:
         kw["extra"] = {**kw.get("extra", {}),
                        **{k: v for k, v in d.items() if k in _EXTRA_KEYS}}
         return cls(**kw)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def derived_seed(seed: int, *parts: int) -> int:
@@ -85,10 +100,7 @@ def _join(vec) -> str:
 
 
 def _workers() -> int:
-    env = os.environ.get("MATCHPRIOR_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    return 1  # cells run serially; bench/run.py records this value
 
 
 @functools.cache
@@ -107,7 +119,7 @@ _RECORD_FIELDS = ["experiment", "n", "rep", "estimator", "estimate",
 
 
 def _write_outputs(config: ExperimentConfig, rows: list[dict],
-                   meta_extra: dict | None = None) -> Path:
+                   meta_extra: dict) -> Path:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = sorted(rows, key=lambda r: (int(r["n"]), int(r["rep"]),
@@ -131,11 +143,11 @@ def _write_outputs(config: ExperimentConfig, rows: list[dict],
             w.writerow([n, est, _fmt(arr.mean()),
                         _fmt(arr.std(ddof=1) if arr.size > 1 else 0.0),
                         arr.size])
+    return _write_meta(out, config, meta_extra)
 
-    meta = {"config": asdict(config), "git_hash": _git_hash(),
-            "workers": _workers()}
-    if meta_extra:
-        meta.update(meta_extra)
+
+def _write_meta(out: Path, config: ExperimentConfig, meta_extra: dict) -> Path:
+    meta = {"config": asdict(config), "git_hash": _git_hash(), **meta_extra}
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
     return out
@@ -157,6 +169,35 @@ def _error_row(experiment, n, rep, label, exc) -> dict:
             "status": f"error:{type(exc).__name__}: {exc}", "seconds": ""}
 
 
+def _timed(job):
+    t0 = time.perf_counter()
+    result = job()
+    return result, time.perf_counter() - t0
+
+
+def _cell_rows(experiment, n, rep, jobs) -> list[dict]:
+    """Time each (label, job) of one cell in order.  A job returns a chain,
+    whose posterior mean and mc_se are recorded, or an estimate, whose point
+    is.  The first job's point is the reference the others are measured
+    against, so when it raises a MatchPriorError the cell ends at its error
+    row."""
+    rows, ref = [], None
+    for label, job in jobs:
+        try:
+            res, seconds = _timed(job)
+        except MatchPriorError as exc:
+            rows.append(_error_row(experiment, n, rep, label, exc))
+            if ref is None:
+                break
+            continue
+        point, mc_se = ((res.posterior_mean, res.mc_se)
+                        if isinstance(res, ChainOutput) else (res.point, None))
+        ref = point if ref is None else ref
+        rows.append(_gap_row(experiment, n, rep, label, point, ref, seconds,
+                             mc_se))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # logistic synthetic scenarios
 
@@ -175,41 +216,24 @@ def logistic_scenario_data(scenario: int, n: int, rng) -> np.ndarray:
     raise ValueError(f"unknown scenario {scenario}")
 
 
-def _logistic_cell(scenario, n, rep, config: ExperimentConfig):
-    tag = f"logistic-s{scenario}"
-    cell_seed = derived_seed(config.seed, scenario, n, rep)
-    rng = np.random.default_rng(cell_seed)
-    y = logistic_scenario_data(scenario, n, rng)
+def _logistic_inputs(scenario, n, seed):
+    """Design, responses, model, data and ridge prior of one logistic cell."""
+    y = logistic_scenario_data(scenario, n, np.random.default_rng(seed))
     design = logistic_design(n)
-    model = LogisticGLM(design)
-    data = Dataset(responses=y, covariates=design)
-    ridge = normal_prior(0.0, 1.0)
-    rows = []
+    return (design, y, LogisticGLM(design),
+            Dataset(responses=y, covariates=design), normal_prior(0.0, 1.0))
 
-    t0 = time.perf_counter()
-    try:
-        chain = polya_gamma_gibbs(
-            design, y, ridge,
-            ChainConfig(length=config.chain_length, burnin=config.burnin,
-                        seed=derived_seed(cell_seed, 1)))
-        pm = chain.posterior_mean
-    except MatchPriorError as exc:
-        rows.append(_error_row(tag, n, rep, "pm-gibbs", exc))
-        return rows
-    t_pm = time.perf_counter() - t0
-    rows.append(_gap_row(tag, n, rep, "pm-gibbs", pm, pm, t_pm,
-                         mc_se=chain.mc_se))
 
-    for label, prior in (("map-ridge", ridge),
-                         ("map-matching", eflat_map_partner(ridge, model))):
-        t0 = time.perf_counter()
-        try:
-            est = map_estimate(model, data, prior)
-            rows.append(_gap_row(tag, n, rep, label, est.point, pm,
-                                 time.perf_counter() - t0))
-        except MatchPriorError as exc:
-            rows.append(_error_row(tag, n, rep, label, exc))
-    return rows
+def _logistic_cell(scenario, n, rep, config: ExperimentConfig):
+    cell_seed = derived_seed(config.seed, scenario, n, rep)
+    design, y, model, data, ridge = _logistic_inputs(scenario, n, cell_seed)
+    chain_cfg = ChainConfig(length=config.chain_length, burnin=config.burnin,
+                            seed=derived_seed(cell_seed, 1))
+    partner = eflat_map_partner(ridge, model)
+    return _cell_rows(f"logistic-s{scenario}", n, rep, [
+        ("pm-gibbs", lambda: polya_gamma_gibbs(design, y, ridge, chain_cfg)),
+        ("map-ridge", lambda: map_estimate(model, data, ridge)),
+        ("map-matching", lambda: map_estimate(model, data, partner))])
 
 
 def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
@@ -219,12 +243,8 @@ def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
     if not config.n_grid:
         config.n_grid = tuple(2 ** t for t in range(4, 10 if scenario == 1 else 12))
     reps = config.reps if scenario == 1 else 1
-    cells = [(n, r) for n in config.n_grid for r in range(reps)]
-    rows = []
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        for part in pool.map(
-                lambda c: _logistic_cell(scenario, c[0], c[1], config), cells):
-            rows.extend(part)
+    rows = [row for n in config.n_grid for rep in range(reps)
+            for row in _logistic_cell(scenario, n, rep, config)]
     return _write_outputs(config, rows, {"scenario": scenario,
                                          "reference": "pm-gibbs"})
 
@@ -239,79 +259,64 @@ def shrinkage_rates(d: int) -> np.ndarray:
     return lam
 
 
-def _shrinkage_cell(n, rep, counts, config: ExperimentConfig):
-    tag = "poisson-shrinkage"
+def _shrinkage_inputs(counts, n):
+    """beta, alpha, model, data and floored komaki prior of one shrinkage
+    cell with count sums counts over n periods."""
     d = counts.shape[0]
-    beta_vec = np.full(d, 3.0)
-    alpha_exp = beta_vec.sum() - 1.0
-    model = PoissonSequence(d)
+    beta = np.full(d, 3.0)
+    alpha = beta.sum() - 1.0
     # n rows with the observed average reproduce the likelihood of the sums
     data = Dataset(responses=np.tile(counts / n, (n, 1)))
+    return (beta, alpha, PoissonSequence(d), data,
+            komaki_prior(beta, alpha, floor=1e-3))
+
+
+def _shrinkage_cell(n, rep, counts, config: ExperimentConfig):
+    beta, alpha, model, data, prior = _shrinkage_inputs(counts, n)
     cell_seed = derived_seed(config.seed, n, rep)
-    prior = komaki_prior(beta_vec, alpha_exp, floor=1e-3)
-    rows = []
-
-    t0 = time.perf_counter()
-    try:
-        ref = map_estimate(model, data, prior).point
-        rows.append(_gap_row(tag, n, rep, "map-komaki", ref, ref,
-                             time.perf_counter() - t0))
-    except MatchPriorError as exc:
-        rows.append(_error_row(tag, n, rep, "map-komaki", exc))
-        return rows
-
     chain_cfg = ChainConfig(length=config.chain_length, burnin=config.burnin,
                             seed=derived_seed(cell_seed, 1))
-    specs = [("pm-komaki", beta_vec),
-             ("pm-matching", beta_vec - 1.0)]
-    for label, bvec in specs:
-        t0 = time.perf_counter()
-        try:
-            chain = komaki_gibbs(counts, n, bvec, alpha_exp, chain_cfg)
-            rows.append(_gap_row(tag, n, rep, label, chain.posterior_mean,
-                                 ref, time.perf_counter() - t0,
-                                 mc_se=chain.mc_se))
-        except MatchPriorError as exc:
-            rows.append(_error_row(tag, n, rep, label, exc))
-    return rows
+    return _cell_rows("poisson-shrinkage", n, rep, [
+        ("map-komaki", lambda: map_estimate(model, data, prior)),
+        ("pm-komaki", lambda: komaki_gibbs(counts, n, beta, alpha, chain_cfg)),
+        ("pm-matching", lambda: komaki_gibbs(counts, n, beta - 1.0, alpha,
+                                             chain_cfg))])
 
 
-def run_poisson_shrinkage(config: ExperimentConfig,
-                          generator: str = "synthetic") -> Path:
+def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
     """Shrinkage-prior gap study on independent Poisson rates.
 
     Compares the Gibbs posterior mean under the shrinkage prior and under its
     matching-pair partner against the bounded MAP under the shrinkage prior.
-    The synthetic generator alternates tiny and moderate rates; the csv
-    generator reads a (periods x d) count matrix from extra["counts_csv"].
+    config.extra["generator"] picks the counts: "synthetic" (default)
+    alternates tiny and moderate rates in config.dim (default 100)
+    coordinates; "csv" reads a (periods x d) count matrix from
+    extra["counts_csv"] and sums its first n rows.
     """
     if not config.n_grid:
         config.n_grid = (1, 10, 100, 1000)
-    d = config.dim or 100
-    rows = []
-    cells = []
+    generator = config.extra.get("generator", "synthetic")
     if generator == "synthetic":
+        d = config.dim or 100
         lam = shrinkage_rates(d)
-        for n in config.n_grid:
-            for rep in range(config.reps):
-                rng = np.random.default_rng(derived_seed(config.seed, n, rep, 7))
-                counts = rng.poisson(lam * n).astype(float)
-                cells.append((n, rep, counts))
+        cells = [(n, rep, np.random.default_rng(
+                      derived_seed(config.seed, n, rep, 7)).poisson(
+                          lam * n).astype(float))
+                 for n in config.n_grid for rep in range(config.reps)]
     elif generator == "csv":
         path = config.extra.get("counts_csv")
         if not path:
             raise ValueError("csv generator needs extra['counts_csv']")
-        mat = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-        for n in config.n_grid:
-            if n > mat.shape[0]:
-                raise ValueError(f"n={n} exceeds the {mat.shape[0]} available periods")
-            cells.append((n, 0, mat[:n].sum(axis=0)))
+        mat = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        d = mat.shape[1]
+        if config.n_grid[-1] > mat.shape[0]:
+            raise ValueError(f"n={config.n_grid[-1]} exceeds the "
+                             f"{mat.shape[0]} available periods")
+        cells = [(n, 0, mat[:n].sum(axis=0)) for n in config.n_grid]
     else:
         raise ValueError(f"unknown generator {generator!r}")
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        for part in pool.map(lambda c: _shrinkage_cell(c[0], c[1], c[2], config),
-                             cells):
-            rows.extend(part)
+    rows = [row for n, rep, counts in cells
+            for row in _shrinkage_cell(n, rep, counts, config)]
     return _write_outputs(config, rows, {"generator": generator, "dim": d,
                                          "reference": "map-komaki"})
 
@@ -336,22 +341,15 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
     tag = f"cauchy-d{d}"
     for rep in range(config.reps):
         cell_seed = derived_seed(config.seed, d, n, rep)
-        rng = np.random.default_rng(cell_seed)
-        data = model.sample(np.zeros(d), n, rng)
-        t0 = time.perf_counter()
-        map_res = map_estimate(model, data, prior)
-        t_map = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        cal = calibrate_pm_from_map(model, data, map_res.point,
-                                    information="observed")
-        t_cal = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        chain = rwmh(model, data, prior,
-                     ChainConfig(length=m_max, burnin=burnin,
-                                 seed=derived_seed(cell_seed, 1)),
-                     proposal="gaussian", init=map_res.point)
-        t_chain = time.perf_counter() - t0
+        data = model.sample(np.zeros(d), n, np.random.default_rng(cell_seed))
+        map_res, t_map = _timed(lambda: map_estimate(model, data, prior))
+        cal, t_cal = _timed(lambda: calibrate_pm_from_map(
+            model, data, map_res.point, information="observed"))
+        chain, t_chain = _timed(lambda: rwmh(
+            model, data, prior,
+            ChainConfig(length=m_max, burnin=burnin,
+                        seed=derived_seed(cell_seed, 1)),
+            proposal="gaussian", init=map_res.point))
         acceptance.append(chain.acceptance_rate)
         ref = chain.posterior_mean
         for m in m_grid:
@@ -379,6 +377,8 @@ def run_timing(config: ExperimentConfig) -> Path:
     if config.reps < 3:
         raise ValueError("timing runs need at least 3 repetitions")
     target = config.extra.get("target", "logistic")
+    if target not in ("logistic", "shrinkage"):
+        raise ValueError(f"unknown timing target {target!r}")
     if not config.n_grid:
         config.n_grid = (16, 64, 256) if target == "logistic" else (1, 10, 100)
     out = Path(config.out)
@@ -388,41 +388,24 @@ def run_timing(config: ExperimentConfig) -> Path:
         times: dict[str, list[float]] = {}
         for rep in range(config.reps):
             seed = derived_seed(config.seed, n, rep)
-            rng = np.random.default_rng(seed)
+            chain_cfg = ChainConfig(length=config.chain_length,
+                                    burnin=config.burnin, seed=seed)
             if target == "logistic":
-                y = logistic_scenario_data(1, n, rng)
-                design = logistic_design(n)
-                model = LogisticGLM(design)
-                data = Dataset(responses=y, covariates=design)
-                prior = normal_prior(0.0, 1.0)
-                jobs = {
-                    "map-matching": lambda: map_estimate(
-                        model, data, eflat_map_partner(prior, model)),
-                    "pm-gibbs": lambda: polya_gamma_gibbs(
-                        design, y, prior,
-                        ChainConfig(length=config.chain_length,
-                                    burnin=config.burnin, seed=seed)),
-                }
+                design, y, model, data, prior = _logistic_inputs(1, n, seed)
+                jobs = {"map-matching": lambda: map_estimate(
+                            model, data, eflat_map_partner(prior, model)),
+                        "pm-gibbs": lambda: polya_gamma_gibbs(
+                            design, y, prior, chain_cfg)}
             else:
-                d = config.dim or 100
-                counts = rng.poisson(shrinkage_rates(d) * n).astype(float)
-                beta_vec = np.full(d, 3.0)
-                alpha_exp = beta_vec.sum() - 1.0
-                model = PoissonSequence(d)
-                data = Dataset(responses=np.tile(counts / n, (n, 1)))
-                jobs = {
-                    "map-komaki": lambda: map_estimate(
-                        model, data, komaki_prior(beta_vec, alpha_exp,
-                                                  floor=1e-3)),
-                    "pm-gibbs": lambda: komaki_gibbs(
-                        counts, n, beta_vec, alpha_exp,
-                        ChainConfig(length=config.chain_length,
-                                    burnin=config.burnin, seed=seed)),
-                }
+                rng = np.random.default_rng(seed)
+                counts = rng.poisson(
+                    shrinkage_rates(config.dim or 100) * n).astype(float)
+                beta, alpha, model, data, prior = _shrinkage_inputs(counts, n)
+                jobs = {"map-komaki": lambda: map_estimate(model, data, prior),
+                        "pm-gibbs": lambda: komaki_gibbs(
+                            counts, n, beta, alpha, chain_cfg)}
             for label, job in jobs.items():
-                t0 = time.perf_counter()
-                job()
-                times.setdefault(label, []).append(time.perf_counter() - t0)
+                times.setdefault(label, []).append(_timed(job)[1])
         for label, ts in sorted(times.items()):
             arr = np.asarray(ts)
             rows.append([n, label, _fmt(arr.mean()), _fmt(arr.std(ddof=1))])
@@ -430,7 +413,4 @@ def run_timing(config: ExperimentConfig) -> Path:
         w = csv.writer(fh)
         w.writerow(["n", "method", "mean_seconds", "sd_seconds"])
         w.writerows(rows)
-    with open(out / "meta.json", "w") as fh:
-        json.dump({"config": asdict(config), "git_hash": _git_hash(),
-                   "target": target}, fh, indent=2, sort_keys=True, default=str)
-    return out
+    return _write_meta(out, config, {"target": target})

@@ -31,6 +31,14 @@ def test_config_validation_and_from_dict():
         ExperimentConfig(experiment="x", n_grid=(16, 16))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="x", reps=0)
+    # a malformed field is named, never coerced: "16" would run n = 1 and 6,
+    # 16.7 would run 16 and dim 0 would run the default 100
+    for field, value in (("n_grid", "16"), ("n_grid", [16.7]),
+                         ("n_grid", [0, 4]), ("reps", 2.5), ("reps", True),
+                         ("seed", "7"), ("chain_length", 100.0),
+                         ("burnin", None), ("dim", 0), ("dim", 2.0)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig.from_dict({"experiment": "x", field: value})
     cfg = ExperimentConfig.from_dict(
         {"experiment": "x", "n_grid": [4, 8], "generator": "csv"})
     assert cfg.n_grid == (4, 8)
@@ -142,17 +150,27 @@ def test_shrinkage_csv_generator(tmp_path):
     np.savetxt(path, counts, delimiter=",", fmt="%d")
     cfg = ExperimentConfig(experiment="poisson-shrinkage",
                            out=str(tmp_path / "out"), n_grid=(1, 2), reps=1,
-                           seed=3, chain_length=500, burnin=100, dim=3,
-                           extra={"counts_csv": str(path)})
-    out = mp.run_poisson_shrinkage(cfg, generator="csv")
+                           seed=3, chain_length=500, burnin=100,
+                           extra={"generator": "csv", "counts_csv": str(path)})
+    out = mp.run_poisson_shrinkage(cfg)
     rows = _read_records(out)
     assert {r["n"] for r in rows} == {"1", "2"}
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["dim"] == 3
+    assert meta["config"]["extra"]["generator"] == "csv"
+    # one column is one coordinate over several periods, not one period
+    np.savetxt(path, counts[:, :1], delimiter=",", fmt="%d")
+    out = mp.run_poisson_shrinkage(ExperimentConfig(
+        experiment="poisson-shrinkage", out=str(tmp_path / "o1"),
+        n_grid=(2,), chain_length=500, burnin=100,
+        extra={"generator": "csv", "counts_csv": str(path)}))
+    assert json.loads((out / "meta.json").read_text())["dim"] == 1
     with pytest.raises(ValueError):
         mp.run_poisson_shrinkage(
             ExperimentConfig(experiment="poisson-shrinkage",
                              out=str(tmp_path / "o2"), n_grid=(5,),
-                             extra={"counts_csv": str(path)}),
-            generator="csv")
+                             extra={"generator": "csv",
+                                    "counts_csv": str(path)}))
 
 
 def test_cauchy_run_trajectory(tmp_path):
@@ -204,17 +222,25 @@ def test_logistic_study_runs_one_gibbs_chain_per_cell(tmp_path, monkeypatch):
 
 
 def test_timing_run(tmp_path):
-    cfg = ExperimentConfig(experiment="timing", out=str(tmp_path),
-                           n_grid=(8, 16), reps=3, seed=5, chain_length=100,
-                           burnin=50)
-    out = mp.run_timing(cfg)
-    with open(out / "timing.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert {r["n"] for r in rows} == {"8", "16"}
-    assert all(float(r["sd_seconds"]) >= 0 for r in rows)
+    for target, methods in (("logistic", {"map-matching", "pm-gibbs"}),
+                            ("shrinkage", {"map-komaki", "pm-gibbs"})):
+        cfg = ExperimentConfig(experiment="timing", out=str(tmp_path / target),
+                               n_grid=(8, 16), reps=3, seed=5,
+                               chain_length=100, burnin=50, dim=6,
+                               extra={"target": target})
+        out = mp.run_timing(cfg)
+        with open(out / "timing.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["n"] for r in rows} == {"8", "16"}
+        assert {r["method"] for r in rows} == methods
+        assert all(float(r["sd_seconds"]) >= 0 for r in rows)
+        assert json.loads((out / "meta.json").read_text())["target"] == target
     with pytest.raises(ValueError):
         mp.run_timing(ExperimentConfig(experiment="timing",
                                        out=str(tmp_path), reps=2))
+    with pytest.raises(ValueError, match="bogus"):
+        mp.run_timing(ExperimentConfig(experiment="timing", out=str(tmp_path),
+                                       reps=3, extra={"target": "bogus"}))
 
 
 def test_cli_estimate_and_oracle(tmp_path):
@@ -351,15 +377,27 @@ def test_cli_build_model_errors():
      "map", "--data", "DATA"],
     ["estimate", "--model", "poisson", "--prior", "wat", "--method", "map",
      "--data", "DATA"],
+    ["run", {"n_grid": "16"}],
+    ["run", {"n_grid": [16.7]}],
+    ["run", {"reps": 2.5}],
+    ["run", {"dim": 0}],
+    ["run", {"experiment": None}],
+    ["run", {"extra": 5}],
 ])
 def test_cli_malformed_input_is_a_usage_error(args, tmp_path):
     data = tmp_path / "y.csv"
     data.write_text("y\n1\n3\n2\n")
+    if args[0] == "run":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "poisson-shrinkage",
+                                   "out": str(tmp_path / "out"), **args[1]}))
+        args = ["run", str(cfg)]
     args = [str(data) if a == "DATA" else a for a in args]
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 2, res.output
     assert res.output.startswith("Error: ")
     assert "Traceback" not in res.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [
