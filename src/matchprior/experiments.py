@@ -309,6 +309,9 @@ def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
             raise ValueError("csv generator needs extra['counts_csv']")
         mat = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
         d = mat.shape[1]
+        if config.dim not in (None, d):
+            raise ValueError(f"dim {config.dim} conflicts with the {d} "
+                             f"columns of {path}")
         if config.n_grid[-1] > mat.shape[0]:
             raise ValueError(f"n={config.n_grid[-1]} exceeds the "
                              f"{mat.shape[0]} available periods")
@@ -329,11 +332,18 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
     """MAP, one-step calibrated point, and an RWMH posterior-mean trajectory
     on the multivariate Cauchy location model under a wide normal prior."""
     d = config.dim or 10
-    n = int(config.extra.get("n", 10))
-    m_grid = tuple(int(m) for m in config.extra.get(
-        "m_grid", (1000, 5000, 10000, 20000, 50000)))
+    n = config.extra.get("n", 10)
+    m_grid = config.extra.get("m_grid", (1000, 5000, 10000, 20000, 50000))
+    burnin = config.extra.get("mcmc_burnin", 5000)
+    for key, value, low in (("n", n, 1), ("mcmc_burnin", burnin, 0)):
+        if not (_is_int(value) and value >= low):
+            raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    # batch means need two draws in every prefix
+    if not (isinstance(m_grid, (list, tuple)) and m_grid
+            and all(_is_int(m) and m >= 2 for m in m_grid)):
+        raise ValueError("m_grid must be a non-empty list of integers >= 2, "
+                         f"got {m_grid!r}")
     m_max = max(m_grid)
-    burnin = int(config.extra.get("mcmc_burnin", 5000))
     model = MultivariateCauchyLocation(d)
     prior = normal_prior(0.0, 100.0)
     rows = []

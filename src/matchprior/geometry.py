@@ -67,23 +67,18 @@ def geometry_at(model: ModelSpec, theta, method: str = "analytic",
                 seed: int | None = None, draws: int = 200_000) -> GeometryReport:
     """Evaluate metric, connections, and skewness tensor at theta.
 
-    For registered flat families everything is analytic; otherwise the
-    defining expectations are estimated by seeded Monte Carlo.
+    "analytic" on a model with an alpha takes Gamma^e and Gamma^m from T, as
+    Gamma^(alpha) = 0 in its alpha-affine coordinates.  "mc", or no alpha,
+    estimates the defining expectations by seeded Monte Carlo.
     """
+    if method not in ("analytic", "mc"):
+        raise ValueError(f"method must be 'analytic' or 'mc', got {method!r}")
     theta = check_point(model, theta)
-    if method == "analytic" and model.skewness(theta) is not None:
+    if method == "analytic" and model.alpha is not None:
         g = model.fisher(theta)
         T = model.skewness(theta)
-        if model.family in ("exponential-family-natural", "glm-canonical"):
-            gamma_e = np.zeros_like(T)
-            gamma_m = T.copy()
-        elif model.family == "exponential-family-mean":
-            gamma_m = np.zeros_like(T)
-            gamma_e = -T
-        elif model.family == "cauchy-location":
-            gamma_e, gamma_m = np.zeros_like(T), np.zeros_like(T)
-        else:
-            raise ValueError(f"no analytic connection rule for family {model.family}")
+        gamma_e = -0.5 * (1.0 - model.alpha) * T
+        gamma_m = 0.5 * (1.0 + model.alpha) * T
         g_inv = _invert_metric(g)
         T_a = np.einsum("abc,bc->a", T, g_inv)
         return GeometryReport(g, g_inv, gamma_e, gamma_m, T, T_a, theta, "analytic")
@@ -119,11 +114,11 @@ def alpha_connection(report: GeometryReport, alpha: float) -> np.ndarray:
 
 
 def fisher_matrix_grad(model: ModelSpec, theta, h: float = 1e-5) -> np.ndarray:
-    """d g_bc / d theta_a, analytic when the model provides it, else central FD."""
+    """d g_bc / d theta_a: Gamma^e_abc + Gamma^m_acb = alpha T_abc for a model
+    with an alpha, else central differences of fisher."""
     theta = check_point(model, theta)
-    dg = model.fisher_grad(theta)
-    if dg is not None:
-        return dg
+    if model.alpha is not None:
+        return model.alpha * model.skewness(theta)
     return central_difference(model.fisher, theta, h, model.in_support)
 
 

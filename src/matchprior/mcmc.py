@@ -26,17 +26,13 @@ class ChainConfig:
     burnin: int = 0
     seed: int = 0
     step_scale: float | None = None
-    thinning: int = 1
 
     def __post_init__(self):
         if self.length <= 0 or self.burnin < 0:
             raise ValueError("need length > 0 and burnin >= 0")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
         # batch means need two kept draws
-        if -(-self.length // self.thinning) < 2:
-            raise ValueError(f"length {self.length} with thinning "
-                             f"{self.thinning} keeps fewer than 2 draws")
+        if self.length < 2:
+            raise ValueError(f"length {self.length} keeps fewer than 2 draws")
         if self.step_scale is not None and self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
 
@@ -110,7 +106,7 @@ def rwmh_target(log_target, init, config: ChainConfig, proposal="gaussian",
             lt = lp
             if it >= config.burnin:
                 accepted += 1
-        if it >= config.burnin and (it - config.burnin) % config.thinning == 0:
+        if it >= config.burnin:
             kept.append(theta.copy())
     post = config.length
     out = _finalize(kept, accepted, post, config.seed,
@@ -402,7 +398,7 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     rng = np.random.default_rng(config.seed)
     pool = PGPool(rng)
     beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
-    samples = np.empty((-(-config.length // config.thinning), d))
+    samples = np.empty((config.length, d))
     for it in range(config.burnin + config.length):
         omega = polya_gamma_1(pool, x @ beta)
         prec = (omega @ xx).reshape(d, d) + p0
@@ -413,9 +409,8 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
         # prec^-1; a factor dpotrf accepted has a positive diagonal
         w = dtrtrs(chol, shift, lower=1)[0]
         beta = dtrtrs(chol, w + rng.standard_normal(d), lower=1, trans=1)[0]
-        kept, off = divmod(it - config.burnin, config.thinning)
-        if kept >= 0 and not off:
-            samples[kept] = beta
+        if it >= config.burnin:
+            samples[it - config.burnin] = beta
     return _finalize(samples, config.length, config.length, config.seed,
                      {"sampler": "pg-gibbs", "burnin": config.burnin,
                       "chain_length": config.length})
@@ -451,7 +446,7 @@ def komaki_gibbs(counts, n: int, beta_vec, alpha_exp: float,
     for it in range(total):
         u = rng.gamma(alpha_exp, 1.0 / np.sum(lam))
         lam = rng.gamma(shape, 1.0 / (n + u))
-        if it >= config.burnin and (it - config.burnin) % config.thinning == 0:
+        if it >= config.burnin:
             kept.append(lam.copy())
     return _finalize(kept, config.length, config.length, config.seed,
                      {"sampler": "komaki-gibbs", "burnin": config.burnin,

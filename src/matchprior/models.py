@@ -112,12 +112,14 @@ def check_point(model, theta) -> np.ndarray:
 class ModelSpec:
     """Contract for a parametric family with analytic derivatives.
 
-    Subclasses set dim, family, support (open boxes per coordinate) and
-    implement the vectorized average derivatives over a Dataset.
+    Subclasses set dim, alpha, support (open boxes per coordinate) and
+    implement the vectorized average derivatives over a Dataset.  The
+    coordinates are alpha-affine (1: e-flat, -1: m-flat), so Gamma^(alpha)
+    vanishes; alpha None means none is known and geometry goes by Monte Carlo.
     """
 
     dim: int
-    family: str
+    alpha: float | None = None
     name: str = "model"
 
     # open interval per coordinate
@@ -152,10 +154,6 @@ class ModelSpec:
     def fisher(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def fisher_grad(self, theta):
-        """d x d x d array with entry [a, b, c] = d g_bc / d theta_a, or None."""
-        return None
-
     def fisher_hess(self, theta):
         """(d, d, d, d) array, [a, b, c, e] = d^2 g_ce / d theta_a d theta_b, or None.
 
@@ -164,8 +162,9 @@ class ModelSpec:
         return None
 
     def skewness(self, theta):
-        """Analytic skewness tensor T_abc, or None if not available."""
-        return None
+        """Skewness tensor T_abc = E[s_a s_b s_c], needed when alpha is set:
+        Gamma^e = -((1-alpha)/2) T, Gamma^m = ((1+alpha)/2) T, d_a g_bc = alpha T."""
+        raise NotImplementedError(f"{type(self).__name__} has no skewness")
 
     def sample(self, theta, n, rng) -> Dataset:
         raise NotImplementedError
@@ -207,7 +206,7 @@ class GaussianKnownMeanPrecision(ModelSpec):
     """
 
     dim = 1
-    family = "exponential-family-natural"
+    alpha = 1.0
     name = "gaussian-precision"
     support = [(0.0, np.inf)]
 
@@ -231,10 +230,6 @@ class GaussianKnownMeanPrecision(ModelSpec):
     def fisher(self, theta):
         th = float(theta[0])
         return np.array([[0.5 / th**2]])
-
-    def fisher_grad(self, theta):
-        th = float(theta[0])
-        return np.array([[[-1.0 / th**3]]])
 
     def fisher_hess(self, theta):
         th = float(theta[0])
@@ -261,7 +256,7 @@ class GaussianKnownMeanPrecision(ModelSpec):
 class PoissonSequence(ModelSpec):
     """d independent Poisson rates in mean coordinates lambda."""
 
-    family = "exponential-family-mean"
+    alpha = -1.0
 
     def __init__(self, dim=1):
         self.dim = dim
@@ -291,13 +286,6 @@ class PoissonSequence(ModelSpec):
     def fisher(self, theta):
         lam = np.asarray(theta, dtype=float)
         return np.diag(1.0 / lam)
-
-    def fisher_grad(self, theta):
-        lam = np.asarray(theta, dtype=float)
-        out = np.zeros((self.dim,) * 3)
-        idx = np.arange(self.dim)
-        out[idx, idx, idx] = -1.0 / lam**2
-        return out
 
     def fisher_hess(self, theta):
         lam = np.asarray(theta, dtype=float)
@@ -336,7 +324,7 @@ class PoissonRate(PoissonSequence):
 class LogisticGLM(ModelSpec):
     """Bernoulli regression with the canonical logit link and fixed design."""
 
-    family = "glm-canonical"
+    alpha = 1.0
 
     def __init__(self, design):
         self.design = np.atleast_2d(np.asarray(design, dtype=float))
@@ -384,10 +372,10 @@ class LogisticGLM(ModelSpec):
     @cached_property
     def _design_outer(self):
         # the design is fixed, and the MAP under a Jeffreys partner asks for
-        # fisher_grad and fisher_hess at every Newton step: (n, d*d), not n d^3
+        # skewness and fisher_hess at every Newton step: (n, d*d), not n d^3
         return row_outer(self.design)
 
-    def fisher_grad(self, theta):
+    def skewness(self, theta):
         x = self.design
         n, d = x.shape
         p = sigmoid(x @ np.asarray(theta, dtype=float))
@@ -403,9 +391,6 @@ class LogisticGLM(ModelSpec):
         outer = self._design_outer
         quad = (outer * (w * (1.0 - 6.0 * w))[:, None]).T @ outer
         return quad.reshape((d,) * 4) / n
-
-    def skewness(self, theta):
-        return self.fisher_grad(theta)
 
     def per_obs_score_hess(self, data, theta):
         x = self._design_for(data)
@@ -427,7 +412,7 @@ class LogisticGLM(ModelSpec):
 class MultivariateCauchyLocation(ModelSpec):
     """d-variate Cauchy with unknown location and identity scale matrix."""
 
-    family = "cauchy-location"
+    alpha = 0.0  # T = 0 and g is constant, so every alpha-connection vanishes
 
     def __init__(self, dim):
         self.dim = dim
@@ -470,8 +455,7 @@ class MultivariateCauchyLocation(ModelSpec):
         return (self.dim + 1) * (8.0 * weighted_cube(r) / data.n - 2.0 * sym)
 
     def fisher(self, theta):
-        # multivariate t with nu = 1 (Lange, Little & Taylor 1989): a constant
-        # metric, so its derivatives fall back to central differences of 0
+        # multivariate t with nu = 1 (Lange, Little & Taylor 1989)
         d = self.dim
         return (d + 1) / (d + 3) * np.eye(d)
 

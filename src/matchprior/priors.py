@@ -178,11 +178,6 @@ def komaki_prior(beta_vec, alpha_exp, floor=0.0) -> PriorSpec:
 # matching-pair constructors
 
 
-# families whose coordinates are e-flat (power 1) or m-flat (power 2)
-_FLAT_FAMILIES = {1: ("e-flat", ("exponential-family-natural", "glm-canonical")),
-                  2: ("m-flat", ("exponential-family-mean",))}
-
-
 def jeffreys_power_partner(prior: PriorSpec, model: ModelSpec,
                            power: int) -> PriorSpec:
     """prior * pi_J^power, the matching partner in flat coordinates.
@@ -191,12 +186,13 @@ def jeffreys_power_partner(prior: PriorSpec, model: ModelSpec,
     -2 for m-flat ones; +1 and +2 go back from a MAP prior to the PM prior.
     The partner has a closed-form log_hess whenever the prior has one.
     """
-    if abs(power) not in _FLAT_FAMILIES:
+    if abs(power) not in (1, 2):
         raise ValueError(f"Jeffreys power must be 1 or 2 in size, got {power}")
-    flat, families = _FLAT_FAMILIES[abs(power)]
-    if model.family not in families:
-        raise FamilyMismatch(
-            f"family {model.family} is not {flat} in these coordinates")
+    # exact where the coordinates are e-flat (alpha 1) or m-flat (alpha -1)
+    alpha = 1.0 if abs(power) == 1 else -1.0
+    if model.alpha != alpha:
+        raise FamilyMismatch(f"{model.name} has alpha = {model.alpha}, "
+                             f"not {alpha:g}, in these coordinates")
     k = float(power)
     name = "jeffreys" if abs(power) == 1 else "jeffreys2"
     log_hess = None
@@ -246,10 +242,16 @@ def matching_residual(pair: MatchingPair, model: ModelSpec, theta,
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if not (pair.pm.contains(theta) and pair.map.contains(theta)):
         raise SupportMismatch(f"{theta} outside a prior support of the pair")
+    return (pair.pm.log_grad(theta) - pair.map.log_grad(theta)
+            - _target_form(model, theta, **geo_kwargs))
+
+
+def _target_form(model: ModelSpec, theta, **geo_kwargs) -> np.ndarray:
+    """omega_a = d_a log pi_J + (1/2) g^{cd} Gamma^e_{cda}, the gradient of
+    log(pm/map) that the matching condition asks for."""
     rep = geometry_at(model, theta, **geo_kwargs)
-    jeff = jeffreys_log_grad(model, theta)
-    econ = 0.5 * np.einsum("cd,cda->a", rep.g_inv, rep.gamma_e)
-    return pair.pm.log_grad(theta) - pair.map.log_grad(theta) - jeff - econ
+    return (jeffreys_log_grad(model, theta)
+            + 0.5 * np.einsum("cd,cda->a", rep.g_inv, rep.gamma_e))
 
 
 def alpha_pair_target_grad(report: GeometryReport, alpha: float) -> np.ndarray:
@@ -263,29 +265,21 @@ def matching_pair_1d(pm: PriorSpec, model: ModelSpec, theta0: float,
                      abs_tol: float = 1e-10) -> MatchingPair:
     """General 1-D construction by quadrature of the matching ODE.
 
-    log(pm/map)(t) = log pi_J(t) + int_{theta0}^{t} (1/2) g^{11} Gamma^e_111.
+    log(pm/map)(t) = int_{theta0}^{t} omega, the target form of
+    matching_residual, so the partner's log density equals pm's at theta0.
     """
     if model.dim != 1:
         raise FamilyMismatch("quadrature construction only applies to 1-D models")
 
-    def econ_integrand(t):
-        rep = geometry_at(model, np.array([t]))
-        return 0.5 * rep.g_inv[0, 0] * rep.gamma_e[0, 0, 0]
-
     def log_ratio(th):
         t = float(np.atleast_1d(th)[0])
-        integral, _ = quad(econ_integrand, theta0, t, epsabs=abs_tol)
-        return jeffreys_log_density(model, np.atleast_1d(th)) + integral
-
-    def ratio_grad(th):
-        t = float(np.atleast_1d(th)[0])
-        return jeffreys_log_grad(model, np.atleast_1d(th)) \
-            + np.array([econ_integrand(t)])
+        return quad(lambda s: _target_form(model, np.array([s]))[0], theta0, t,
+                    epsabs=abs_tol)[0]
 
     partner = PriorSpec(
         pm.label + "/ode",
         lambda th: pm.log_density(th) - log_ratio(th),
-        lambda th: pm.log_grad(th) - ratio_grad(th),
+        lambda th: pm.log_grad(th) - _target_form(model, np.atleast_1d(th)),
         proper=False,
         support=pm.support if pm.support is not None else list(model.support))
     return MatchingPair(pm, partner, "alpha-affine(1d-quadrature)")

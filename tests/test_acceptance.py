@@ -138,7 +138,7 @@ def test_criterion_04_geometry_identities():
             worst_an = max(worst_an,
                            np.max(np.abs(alpha_parallel_log_grad(rep, 0.0)
                                          - jeffreys_log_grad(model, th))))
-            if model.family in ("exponential-family-natural", "glm-canonical"):
+            if model.alpha == 1:
                 worst_an = max(worst_an, np.max(np.abs(rep.gamma_e)))
     _report(4, "geometry identities (duality, skewness, parallel priors)",
             worst_fd < 1e-6 and worst_an < 1e-8,

@@ -158,6 +158,12 @@ def test_shrinkage_csv_generator(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["dim"] == 3
     assert meta["config"]["extra"]["generator"] == "csv"
+    with pytest.raises(ValueError, match="dim 5 conflicts with the 3 columns"):
+        mp.run_poisson_shrinkage(ExperimentConfig(
+            experiment="poisson-shrinkage", out=str(tmp_path / "o5"),
+            n_grid=(1,), dim=5,
+            extra={"generator": "csv", "counts_csv": str(path)}))
+    assert not (tmp_path / "o5").exists()
     # one column is one coordinate over several periods, not one period
     np.savetxt(path, counts[:, :1], delimiter=",", fmt="%d")
     out = mp.run_poisson_shrinkage(ExperimentConfig(
@@ -383,10 +389,22 @@ def test_cli_build_model_errors():
     ["run", {"dim": 0}],
     ["run", {"experiment": None}],
     ["run", {"extra": 5}],
+    ["run", {"experiment": "cauchy-calibration", "n": 2.7}],
+    ["run", {"experiment": "cauchy-calibration", "n": True}],
+    ["run", {"experiment": "cauchy-calibration", "n": 0}],
+    ["run", {"experiment": "cauchy-calibration", "mcmc_burnin": 99.5}],
+    ["run", {"experiment": "cauchy-calibration", "mcmc_burnin": -1}],
+    ["run", {"experiment": "cauchy-calibration", "m_grid": [500, 1000.9]}],
+    ["run", {"experiment": "cauchy-calibration", "m_grid": "15"}],
+    ["run", {"experiment": "cauchy-calibration", "m_grid": []}],
+    ["run", {"experiment": "cauchy-calibration", "m_grid": [1, 1000]}],
 ])
 def test_cli_malformed_input_is_a_usage_error(args, tmp_path):
     data = tmp_path / "y.csv"
     data.write_text("y\n1\n3\n2\n")
+    # a bad cauchy-calibration key is named in the message
+    key = (list(args[1])[-1] if args[0] == "run"
+           and args[1].get("experiment") == "cauchy-calibration" else "")
     if args[0] == "run":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "poisson-shrinkage",
@@ -395,7 +413,7 @@ def test_cli_malformed_input_is_a_usage_error(args, tmp_path):
     args = [str(data) if a == "DATA" else a for a in args]
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 2, res.output
-    assert res.output.startswith("Error: ")
+    assert res.output.startswith(f"Error: {key}")
     assert "Traceback" not in res.output
     assert not (tmp_path / "out").exists()
 

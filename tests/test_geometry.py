@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -105,16 +107,17 @@ def test_mflat_prior_ratio_is_squared_jeffreys():
 
 
 def test_fisher_matrix_grad_fd_fallback_matches_analytic():
-    model = mp.PoissonSequence(2)
-    theta = np.array([1.2, 0.6])
-    analytic = fisher_matrix_grad(model, theta)
-
-    class NoGrad(mp.PoissonSequence):
-        def fisher_grad(self, theta):
-            return None
-
-    fd = fisher_matrix_grad(NoGrad(2), theta)
-    assert np.max(np.abs(analytic - fd)) < 1e-6
+    points = list(_analytic_points(3)) + [
+        (mp.MultivariateCauchyLocation(2), np.array([0.4, -1.3]))]
+    for model, theta in points:
+        analytic = fisher_matrix_grad(model, theta)
+        fd = central_difference(model.fisher, theta, 1e-5)
+        assert np.max(np.abs(analytic - fd)) < 1e-6 * max(
+            1.0, np.max(np.abs(analytic))), model.name
+        # a model without an alpha takes the central-difference fallback
+        no_alpha = copy.copy(model)
+        no_alpha.alpha = None
+        assert np.array_equal(fisher_matrix_grad(no_alpha, theta), fd)
 
 
 def test_monte_carlo_geometry_matches_analytic():
@@ -136,6 +139,8 @@ def test_monte_carlo_requires_seed_and_is_reproducible():
     theta = np.zeros(2)
     with pytest.raises(ValueError):
         geometry_at(model, theta, method="mc")
+    with pytest.raises(ValueError, match="method"):
+        geometry_at(mp.PoissonRate(), np.array([1.0]), method="analytc", seed=1)
     r1 = geometry_at(model, theta, method="mc", seed=11, draws=20_000)
     r2 = geometry_at(model, theta, method="mc", seed=11, draws=20_000)
     assert np.array_equal(r1.g, r2.g)

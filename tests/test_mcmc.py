@@ -18,14 +18,11 @@ def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(length=10, burnin=-1)
     with pytest.raises(ValueError):
-        ChainConfig(length=10, thinning=0)
-    with pytest.raises(ValueError):
         ChainConfig(length=10, step_scale=0.0)
     # batch means need two kept draws
-    for length, thinning in ((1, 1), (3, 3)):
-        with pytest.raises(ValueError, match="keeps fewer than 2 draws"):
-            ChainConfig(length=length, thinning=thinning)
-    assert ChainConfig(length=4, thinning=3).length == 4
+    with pytest.raises(ValueError, match="keeps fewer than 2 draws"):
+        ChainConfig(length=1)
+    assert ChainConfig(length=2).length == 2
 
 
 def test_polya_gamma_moments():
@@ -275,15 +272,14 @@ def test_rwmh_conjugate_poisson():
     assert chain.samples.shape == (50_000, 1)
 
 
-def test_rwmh_cauchy_proposal_and_thinning():
+def test_rwmh_cauchy_proposal():
     rng = np.random.default_rng(5)
     y = rng.poisson(2.0, size=20).astype(float)
     data = mp.Dataset(y)
     chain = mp.rwmh(mp.PoissonRate(), data, mp.gamma_prior(1.0, 1.0),
-                    ChainConfig(length=20_000, burnin=1000, seed=6,
-                                thinning=4),
+                    ChainConfig(length=20_000, burnin=1000, seed=6),
                     proposal="cauchy")
-    assert chain.samples.shape == (5000, 1)
+    assert chain.samples.shape == (20_000, 1)
     exact = (1 + y.sum()) / (1 + 20)
     assert abs(chain.posterior_mean[0] - exact) < 4 * chain.mc_se[0]
 
@@ -345,19 +341,6 @@ def test_pg_gibbs_determinism_and_prior_requirement():
         mp.polya_gamma_gibbs(design, y, mp.uniform_prior(), cfg)
 
 
-def test_pg_gibbs_thinning_keeps_every_third_sweep():
-    design = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 1.0], [0.8, -0.4]])
-    y = np.array([1.0, 0.0, 1.0, 1.0])
-    prior = mp.normal_prior(0, 2)
-    full = mp.polya_gamma_gibbs(design, y, prior,
-                                ChainConfig(length=200, burnin=10, seed=15))
-    thin = mp.polya_gamma_gibbs(design, y, prior,
-                                ChainConfig(length=200, burnin=10, seed=15,
-                                            thinning=3))
-    assert thin.samples.shape == (67, 2)
-    assert np.array_equal(thin.samples, full.samples[::3])
-
-
 def test_pg_gibbs_draws_once_per_sweep(monkeypatch):
     # the benchmark times mcmc.polya_gamma_1 as one PG draw per sweep
     sizes = []
@@ -367,8 +350,7 @@ def test_pg_gibbs_draws_once_per_sweep(monkeypatch):
     design = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 1.0]])
     mp.polya_gamma_gibbs(design, np.array([1.0, 0.0, 1.0]),
                          mp.normal_prior(0, 2),
-                         ChainConfig(length=40, burnin=10, seed=17,
-                                     thinning=3))
+                         ChainConfig(length=40, burnin=10, seed=17))
     assert sizes == [3] * 50
 
 

@@ -76,6 +76,8 @@ def test_eflat_partner_gradient():
                        pm.log_grad(th) - jeffreys_log_grad(model, th))
     with pytest.raises(FamilyMismatch):
         mp.eflat_map_partner(pm, mp.PoissonRate())
+    with pytest.raises(FamilyMismatch):
+        mp.eflat_map_partner(mp.normal_prior(), mp.MultivariateCauchyLocation(1))
 
 
 def test_mflat_partners_are_inverses():
@@ -143,6 +145,10 @@ def test_matching_pair_1d_quadrature_reproduces_eflat():
         assert np.allclose(pair.map.log_grad(th), direct.log_grad(th),
                            atol=1e-8)
         assert abs(mp.matching_residual(pair, model, th)[0]) < 1e-8
+        # log densities agree up to one constant, fixed here at theta0 = 1
+        gap = (pair.map.log_density(th) - pair.map.log_density(np.ones(1))
+               - direct.log_density(th) + direct.log_density(np.ones(1)))
+        assert abs(gap) < 1e-9
     with pytest.raises(FamilyMismatch):
         mp.matching_pair_1d(pm, mp.PoissonSequence(2), 1.0)
 
