@@ -65,12 +65,11 @@ def batch_means_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return se, ess
 
 
-def _finalize(states, accepted, total_post, seed, extra=None):
-    samples = np.asarray(states)
+def _finalize(samples, accepted, seed, extra):
     mean = samples.mean(axis=0)
     se, ess = batch_means_se(samples)
-    return ChainOutput(samples, accepted / max(total_post, 1), mean, se, ess,
-                       seed, extra or {})
+    return ChainOutput(samples, accepted / samples.shape[0], mean, se, ess,
+                       seed, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +88,9 @@ def rwmh_target(log_target, init, config: ChainConfig, proposal="gaussian",
     lt = log_target(theta)
     if not np.isfinite(lt):
         raise ValueError("initial point has non-finite target density")
-    total = config.burnin + config.length
-    kept = []
+    samples = np.empty((config.length, d))
     accepted = 0
-    for it in range(total):
+    for it in range(config.burnin + config.length):
         z = rng.normal(size=d)
         if proposal == "cauchy":
             w = rng.chisquare(1.0)
@@ -107,9 +105,8 @@ def rwmh_target(log_target, init, config: ChainConfig, proposal="gaussian",
             if it >= config.burnin:
                 accepted += 1
         if it >= config.burnin:
-            kept.append(theta.copy())
-    post = config.length
-    out = _finalize(kept, accepted, post, config.seed,
+            samples[it - config.burnin] = theta
+    out = _finalize(samples, accepted, config.seed,
                     {"proposal": proposal, "step": step,
                      "burnin": config.burnin, "chain_length": config.length})
     if out.acceptance_rate < 1e-4:
@@ -169,10 +166,11 @@ _PG_LEFT_RATIO = 8.0 * _PG_LEVY_MASS / np.pi
 # slots whose series uniform exceeds this bound need the series
 _PG_SQUEEZE = 0.994
 # a chain's PGPool serves a draw whose every |z|/2 is below _PG_POOL_SWITCH
-# (z^2/2 below _PG_POOL_TILT) and refills _PG_POOL_BLOCK entries at a time
+# and refills _PG_POOL_BLOCK entries at a time
 _PG_POOL_SWITCH = 1.0
-_PG_POOL_TILT = 2.0 * _PG_POOL_SWITCH**2
 _PG_POOL_BLOCK = 4096
+# past this |z| the tilt z^2/2 overflows, and every draw would come out t/4
+_PG_Z_MAX = float(np.sqrt(2.0) * np.sqrt(np.finfo(float).max))
 
 
 def _pg_mass_texpon(z, fz):
@@ -198,6 +196,10 @@ def _pg_mass_untilted(fz):
     return w / (w + _PG_LEFT_RATIO * fz)
 
 
+# the exponential branch's weight at z = 0, computed as _pg_devroye does
+_PG_PEXP_ZERO = _pg_mass_untilted(np.array([np.pi**2 / 8.0]))[0]
+
+
 def _rtigauss(rng, z):
     """IG(1/z, 1) truncated to (0, TRUNC) for z >= 1/TRUNC, by rejection.
 
@@ -220,7 +222,7 @@ def _rtigauss(rng, z):
 
 
 def _pg_series_rejects(x, u):
-    """Devroye's alternating-series test: reject x where u > f(x) / a_0(x).
+    """Indices of the slots where u > f(x) / a_0(x): Devroye's series test.
 
     The J*(1) density is f = sum_k (-1)^k a_k with a_k(x) = pi (k + 1/2)
     exp(B(x) - (k + 1/2)^2 A(x)), where A = pi^2 x / 2, B = 0 right of t
@@ -229,6 +231,11 @@ def _pg_series_rejects(x, u):
     r_k = a_k / a_0 = (2k + 1) exp(-k (k + 1) A), so the partial sums of
     1 - r_1 + r_2 - ... decide every slot without forming a_k.
     """
+    # Devroye's squeeze: a u at most _PG_SQUEEZE is below the first partial sum
+    cand = (u > _PG_SQUEEZE).nonzero()[0]
+    if not cand.size:
+        return cand
+    x, u = x[cand], u[cand]
     a = np.where(x > _PG_TRUNC, 0.5 * np.pi**2 * x, 2.0 / x)
     s = 1.0 - 3.0 * np.exp(-2.0 * a)
     rejected = u > s
@@ -247,15 +254,14 @@ def _pg_series_rejects(x, u):
             done = u > s
         keep = (~done).nonzero()[0]
         idx, a, s, u = idx[keep], a[keep], s[keep], u[keep]
-    return rejected
+    return cand[rejected]
 
 
 def _pg_devroye(rng, z):
     """Exact PG(1, z) draws for a finite float array z (Devroye-type scheme).
 
     A pass over the open slots takes one (3, k) block of uniforms; a slot
-    whose series uniform is at most _PG_SQUEEZE is accepted on one compare,
-    one that fails the series test goes into the next pass.
+    that fails the series test goes into the next pass.
     """
     half = np.abs(z) * 0.5
     tilt = 0.5 * half * half
@@ -288,9 +294,7 @@ def _pg_devroye(rng, z):
             q = ndtri(v[levy] * _PG_LEVY_MASS)
             x[levy] = xl = 1.0 / (q * q)
             w[levy] *= np.exp(tilt[levy] * xl)
-        rejected = (w > _PG_SQUEEZE).nonzero()[0]
-        if rejected.size:
-            rejected = rejected[_pg_series_rejects(x[rejected], w[rejected])]
+        rejected = _pg_series_rejects(x, w)
         x *= 0.25
         # a pass writes every slot it drew; the next pass overwrites those
         # it rejected
@@ -305,13 +309,38 @@ def _pg_devroye(rng, z):
                                 tilt[rejected], pexp[rejected])
 
 
+def _pg_devroye_zero(rng, size):
+    """_pg_devroye(rng, np.zeros(size)) with the z = 0 constants hoisted:
+    the same uniforms and float operations on each slot, so the same values
+    and generator state, without the per-slot tilt arrays."""
+    out = pending = None
+    while True:
+        u = rng.random((3, size))
+        v = 1.0 - u[1]
+        x = _PG_TRUNC - np.log(v) / (np.pi**2 / 8.0)
+        # the Levy quantile is below -1/sqrt(t), so 1/q^2 is finite
+        levy = (u[0] >= _PG_PEXP_ZERO).nonzero()[0]
+        q = ndtri(v[levy] * _PG_LEVY_MASS)
+        x[levy] = 1.0 / (q * q)
+        rejected = _pg_series_rejects(x, u[2])
+        x *= 0.25
+        if out is None:
+            out, pending = x, rejected
+        else:
+            out[pending] = x
+            pending = pending[rejected]
+        if not rejected.size:
+            return out
+        size = rejected.size
+
+
 class PGPool:
     """A chain's private supply of exact PG(1, 0) draws, each handed out once.
 
     PG(1, z) has density cosh(z/2) e^{-z^2 w/2} p_0(w), p_0 the PG(1, 0)
     density, so an entry w with its Exp(1) variate E is a PG(1, z) draw when
     E >= z^2 w/2, which happens with probability 1/cosh(z/2).  Entries come
-    from _pg_devroye at z = 0 on the chain's generator, _PG_POOL_BLOCK at a
+    from _pg_devroye_zero on the chain's generator, _PG_POOL_BLOCK at a
     time.
     """
 
@@ -326,7 +355,7 @@ class PGPool:
         short = start + k - self._omega.size
         if short > 0:
             size = -(-short // _PG_POOL_BLOCK) * _PG_POOL_BLOCK
-            w = _pg_devroye(self.rng, np.zeros(size))
+            w = _pg_devroye_zero(self.rng, size)
             ratio = self.rng.standard_exponential(size) / w
             self._omega = np.concatenate((self._omega[start:], w))
             self._ratio = np.concatenate((self._ratio[start:], ratio))
@@ -335,15 +364,9 @@ class PGPool:
         return self._omega[start:start + k], self._ratio[start:start + k]
 
     def draw(self, z):
-        """Exact PG(1, z) draws for a finite float array z.
-
-        When every |z|/2 is below _PG_POOL_SWITCH, each slot takes entries
-        until one is kept; otherwise the whole array takes Devroye draws,
-        whose passes carry the low slots almost for free.
-        """
+        """Exact PG(1, z) draws for a float array z whose every |z|/2 is
+        below _PG_POOL_SWITCH: each slot takes entries until one is kept."""
         tilt = 0.5 * z * z
-        if not np.all(tilt < _PG_POOL_TILT):
-            return _pg_devroye(self.rng, z)
         omega, ratio = self.take(z.size)
         out = omega.copy()
         # a round writes every open slot; the next overwrites those it missed
@@ -359,14 +382,21 @@ def polya_gamma_1(source, z) -> np.ndarray:
     """Exact draws from PG(1, z) for an array z.
 
     source is a numpy Generator, for Devroye draws on every slot, or a
-    chain's PGPool.
+    chain's PGPool.  The pool serves a draw whose every |z|/2 is below
+    _PG_POOL_SWITCH; any other takes Devroye draws on the pool's generator,
+    whose passes carry the low slots almost for free.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(np.isfinite(z)):
-        # the alternating series never decides a NaN slot: the loop would spin
-        raise NonFiniteInput("PG(1, z) needs finite z")
     if isinstance(source, PGPool):
-        return source.draw(z)
+        # one reduction, which NaN and +-inf fail too; in floats |z| < 2
+        # holds exactly when z^2/2 < 2 does
+        if (np.abs(z) < 2.0 * _PG_POOL_SWITCH).all():
+            return source.draw(z)
+        source = source.rng
+    if not (np.abs(z) < _PG_Z_MAX).all():
+        # the alternating series never decides a NaN slot: the loop would spin
+        raise NonFiniteInput(f"PG(1, z) needs |z| < {_PG_Z_MAX:.4g}, "
+                             "where z^2/2 overflows")
     return _pg_devroye(source, z)
 
 
@@ -377,9 +407,10 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     Alternates omega_i | beta ~ PG(1, x_i beta) and beta | omega ~ Normal with
     precision X' Omega X + prior precision.  Requires a Gaussian prior.
     """
-    x = np.atleast_2d(np.asarray(design, dtype=float))
-    y = np.asarray(responses, dtype=float).ravel()
-    n, d = x.shape
+    # the row-count, empty and non-finite checks fire before any draw
+    data = Dataset(responses, design)
+    x, y = data.covariates, data.responses.ravel()
+    d = x.shape[1]
     if prior.log_hess is None or not prior.proper:
         raise InvalidHyperparameter("polya_gamma_gibbs needs a proper Gaussian prior")
     zero = np.zeros(d)
@@ -411,7 +442,7 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
         beta = dtrtrs(chol, w + rng.standard_normal(d), lower=1, trans=1)[0]
         if it >= config.burnin:
             samples[it - config.burnin] = beta
-    return _finalize(samples, config.length, config.length, config.seed,
+    return _finalize(samples, config.length, config.seed,
                      {"sampler": "pg-gibbs", "burnin": config.burnin,
                       "chain_length": config.length})
 
@@ -441,13 +472,12 @@ def komaki_gibbs(counts, n: int, beta_vec, alpha_exp: float,
                                     f"{shape.sum():g} <= alpha = {alpha_exp:g}")
     rng = np.random.default_rng(config.seed)
     lam = counts / n + 1.0 if init is None else np.asarray(init, dtype=float).copy()
-    total = config.burnin + config.length
-    kept = []
-    for it in range(total):
+    samples = np.empty((config.length, counts.size))
+    for it in range(config.burnin + config.length):
         u = rng.gamma(alpha_exp, 1.0 / np.sum(lam))
         lam = rng.gamma(shape, 1.0 / (n + u))
         if it >= config.burnin:
-            kept.append(lam.copy())
-    return _finalize(kept, config.length, config.length, config.seed,
+            samples[it - config.burnin] = lam
+    return _finalize(samples, config.length, config.seed,
                      {"sampler": "komaki-gibbs", "burnin": config.burnin,
                       "chain_length": config.length})

@@ -214,12 +214,26 @@ class _NoDraws:
 
 def test_polya_gamma_rejects_nonfinite_z_before_drawing():
     # the alternating series never decides a NaN slot, so without the check
-    # the sampler would loop forever; _NoDraws turns that into a failure
-    for bad in ([0.5, np.nan], [np.inf], [-np.inf, 1.0]):
+    # the sampler would loop forever; _NoDraws turns that into a failure.
+    # Past |z| = 1.9e154 the tilt z^2/2 overflows and every draw was t/4
+    for bad in ([0.5, np.nan], [np.inf], [-np.inf, 1.0], [0.3, 1e160],
+                [-1e160]):
         for source in (_NoDraws(), mcmc.PGPool(_NoDraws())):
-            with pytest.raises(NonFiniteInput):
+            with warnings.catch_warnings(), \
+                    pytest.raises(NonFiniteInput, match="1.896e"):
+                warnings.simplefilter("error")
                 polya_gamma_1(source, np.array(bad))
     assert issubclass(NonFiniteInput, MatchPriorError)
+
+
+@pytest.mark.parametrize("size", [1, 5, 4096, 3 * 4096])
+def test_pg_zero_refill_matches_devroye(size):
+    # the pool's refill body is _pg_devroye at z = 0 with its constants
+    # hoisted: the same values and the same generator state after the call
+    rng, rng2 = np.random.default_rng(size), np.random.default_rng(size)
+    assert np.array_equal(mcmc._pg_devroye_zero(rng, size),
+                          mcmc._pg_devroye(rng2, np.zeros(size)))
+    assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 def test_pg_pool_hands_out_each_entry_once():
@@ -352,6 +366,22 @@ def test_pg_gibbs_draws_once_per_sweep(monkeypatch):
                          mp.normal_prior(0, 2),
                          ChainConfig(length=40, burnin=10, seed=17))
     assert sizes == [3] * 50
+
+
+def test_pg_gibbs_validates_data_before_drawing(monkeypatch):
+    def no_sweep(rng, z):
+        raise AssertionError("a Gibbs sweep started")
+
+    monkeypatch.setattr(mcmc, "polya_gamma_1", no_sweep)
+    cfg = ChainConfig(length=20, seed=16)
+    prior = mp.normal_prior(0, 2)
+    with pytest.raises(ValueError, match="rows do not match"):
+        mp.polya_gamma_gibbs(np.ones((8, 2)), np.ones(5), prior, cfg)
+    with pytest.raises(ValueError, match="at least one observation"):
+        mp.polya_gamma_gibbs(np.ones((0, 2)), np.ones(0), prior, cfg)
+    with pytest.raises(NonFiniteInput):
+        mp.polya_gamma_gibbs(np.array([[1.0], [np.nan]]), np.ones(2),
+                             prior, cfg)
 
 
 def test_pg_gibbs_indefinite_precision_raises(monkeypatch):
