@@ -409,7 +409,11 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     """
     # the row-count, empty and non-finite checks fire before any draw
     data = Dataset(responses, design)
-    x, y = data.covariates, data.responses.ravel()
+    if data.responses.shape[1] != 1:
+        raise ValueError("logistic responses must be a single column")
+    x, y = data.covariates, data.responses[:, 0]
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("logistic responses must be 0 or 1")
     d = x.shape[1]
     if prior.log_hess is None or not prior.proper:
         raise InvalidHyperparameter("polya_gamma_gibbs needs a proper Gaussian prior")

@@ -364,9 +364,10 @@ class LogisticGLM(ModelSpec):
         return -weighted_cube(x, w) / data.n
 
     def fisher(self, theta):
+        # p (1 - p) as e / (1 + e)^2, e = exp(-|eta|): 1 - p is 0 from |eta| ~ 37
         x = self.design
-        p = sigmoid(x @ np.asarray(theta, dtype=float))
-        w = p * (1.0 - p)
+        e = np.exp(-np.abs(x @ np.asarray(theta, dtype=float)))
+        w = e / (1.0 + e) ** 2
         return (x.T * w) @ x / x.shape[0]
 
     @cached_property

@@ -1,8 +1,8 @@
 """Ground-truth posterior expectations for low-dimensional models.
 
-A Laplace-centred trapezoid grid over the posterior, with adaptive
-quadrature (Gauss-Kronrod via QUADPACK) behind it, plus closed conjugate
-forms, used to validate samplers, Laplace expansions, and calibration.
+A trapezoid grid about the posterior mode, with adaptive quadrature
+(Gauss-Kronrod via QUADPACK) behind it, plus closed conjugate forms, used to
+validate samplers, Laplace expansions, and calibration.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from .errors import (InvalidHyperparameter, MatchPriorError, TailNotDecaying,
                      ToleranceNotMet)
+# mle is unused here; it stays importable because bench/tracing.py rebinds it
 from .estimators import LogPosterior, Statistic, _maximize, mle
 from .models import Dataset, ModelSpec
 from .priors import PriorSpec
@@ -23,8 +24,8 @@ from .priors import PriorSpec
 _PROBE_NEAR = 15.0
 _PROBE_FAR = 40.0
 _EPSREL = 1e-10          # relative tolerance of both rules
-# the trapezoid grid; its lengths are in Laplace standard deviations
 _CENTRE_TOL = 1e-6       # scaled gradient norm at which the mode search stops
+# the trapezoid grid; its lengths are in Laplace standard deviations
 _GRID_LEVELS = 6
 _GRID_NODES = 50_000     # evaluations before QUADPACK takes over
 _GRID_RADIUS = 40.0      # a walk not negligible this far out meets a heavy tail
@@ -90,19 +91,23 @@ class _LogWeight:
 
 
 def _prepare(model: ModelSpec, data: Dataset, prior: PriorSpec, f):
-    """The checks both integration rules run behind: a finite log weight at
-    the centre point u0 and decaying tails.  Returns the log weight, u0, its
-    value there and the statistics as callables of theta."""
+    """The one mode search and the checks both rules run behind.  The centre
+    u0 is the mode of the log weight, searched from default_init, or that
+    start when the search fails; the log weight must be finite there and its
+    tails must decay.  Returns the log weight, u0, its value there, the
+    statistics as callables of theta and whether u0 is the mode."""
     d = model.dim
     if d > 3:
         raise ValueError("quadrature oracle supports dimension <= 3")
 
-    try:
-        center_theta = mle(model, data).point
-    except MatchPriorError:
-        center_theta = np.asarray(model.default_init(data), dtype=float)
     log_weight = _LogWeight(LogPosterior(model, data, prior))
-    u0 = np.log(center_theta, out=center_theta.copy(), where=log_weight.log_axes)
+    start = np.asarray(model.default_init(data), dtype=float)
+    u0 = np.log(start, out=start.copy(), where=log_weight.log_axes)
+    try:
+        u0, _ = _maximize(log_weight, u0, _CENTRE_TOL, 100)
+        at_mode = True
+    except MatchPriorError:
+        at_mode = False
     ref = log_weight.value(u0)
     if not np.isfinite(ref):
         raise ToleranceNotMet("posterior density non-finite at the center point")
@@ -132,25 +137,21 @@ def _prepare(model: ModelSpec, data: Dataset, prior: PriorSpec, f):
         fns = [f]
     else:
         fns = [s.value if isinstance(s, Statistic) else s for s in f]
-    return log_weight, u0, ref, fns
+    return log_weight, u0, ref, fns, at_mode
 
 
 class _NoFastPath(Exception):
     """The trapezoid grid cannot vouch for its sums; QUADPACK takes over."""
 
 
-def _trapezoid(log_weight: _LogWeight, u0, fns, spec: QuadratureSpec):
-    """Trapezoid sums over u = u* + h L k, k in Z^d, where u* is the mode of
-    the log weight and L L^T its Laplace covariance.  Each axis is walked
-    outward from the centre until the mass is negligible, and h is halved,
-    reusing the nodes already evaluated, until two successive levels agree.
-    Raises _NoFastPath when the mode has no negative definite Hessian, when
-    a walk is still not negligible at _GRID_RADIUS, or when the levels or
-    the node budget run out."""
-    try:
-        centre, _ = _maximize(log_weight, u0, _CENTRE_TOL, 100)
-    except MatchPriorError:
-        raise _NoFastPath from None
+def _trapezoid(log_weight: _LogWeight, centre, top, fns, spec: QuadratureSpec):
+    """Trapezoid sums over u = u* + h L k, k in Z^d, where u* is the mode
+    _prepare found, top the log weight there and L L^T its Laplace
+    covariance.  Each axis is walked outward from the centre until the mass
+    is negligible, and h is halved, reusing the nodes already evaluated,
+    until two successive levels agree.  Raises _NoFastPath when the mode has
+    no negative definite Hessian, when a walk is still not negligible at
+    _GRID_RADIUS, or when the levels or the node budget run out."""
     hess = log_weight.hess(centre)
     if not np.all(np.isfinite(hess)):
         raise _NoFastPath
@@ -159,7 +160,6 @@ def _trapezoid(log_weight: _LogWeight, u0, fns, spec: QuadratureSpec):
     except np.linalg.LinAlgError:
         raise _NoFastPath from None
     scale = np.linalg.inv(chol).T          # scale @ scale.T = inv(-hess)
-    top = log_weight.value(centre)
     d, m = centre.shape[0], len(fns)
     # the step at which the rule is within abs_tol / 100 on a standard
     # Gaussian, whose trapezoid error is 2 exp(-2 pi^2 / h^2)
@@ -253,27 +253,17 @@ def _quadpack(log_weight: _LogWeight, u0, ref, fns, spec: QuadratureSpec):
                 return level(i + 1, u)
 
             lo, hi = box_lo[i], box_hi[i]
+            cuts = (lo, u0[i], hi) if np.isinf(lo) and np.isinf(hi) else (lo, hi)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                if np.isinf(lo) and np.isinf(hi):
-                    r1 = quad(inner, lo, u0[i], epsabs=spec.abs_tol,
-                              epsrel=_EPSREL, limit=spec.max_subdivisions,
-                              full_output=1)
-                    r2 = quad(inner, u0[i], hi, epsabs=spec.abs_tol,
-                              epsrel=_EPSREL, limit=spec.max_subdivisions,
-                              full_output=1)
-                    val, err = r1[0] + r2[0], r1[1] + r2[1]
-                    if len(r1) > 3 or len(r2) > 3:
-                        trouble.append(i)
-                else:
-                    r = quad(inner, lo, hi, epsabs=spec.abs_tol,
-                             epsrel=_EPSREL, limit=spec.max_subdivisions,
-                             full_output=1)
-                    val, err = r[0], r[1]
-                    if len(r) > 3:
-                        trouble.append(i)
+                parts = [quad(inner, a, b, epsabs=spec.abs_tol, epsrel=_EPSREL,
+                              limit=spec.max_subdivisions, full_output=1)
+                         for a, b in zip(cuts, cuts[1:])]
+            if any(len(r) > 3 for r in parts):
+                trouble.append(i)
+            val = sum(r[0] for r in parts)
             if i == 0:
-                return val, err
+                return val, sum(r[1] for r in parts)
             return val
 
         val, err = level(0, [])
@@ -310,19 +300,24 @@ def quad_posterior_expectation(model: ModelSpec, data: Dataset,
 
     Returns (values, error_bounds).  f may be None (identity, one entry per
     coordinate), a callable theta -> float, a Statistic, or a sequence of
-    either.  Dimension is limited to 3.  A Laplace-centred trapezoid grid
-    answers first; when it cannot vouch for its sums (no negative definite
-    Hessian at the mode, a heavy tail, or no convergence within its node
-    budget) nested QUADPACK, whose cost grows steeply with dimension, does.
+    either.  Dimension is limited to 3.  One Newton search from the model's
+    default_init finds the posterior mode (in log coordinates for positive
+    parameters), and a trapezoid grid centred there and scaled by the
+    Laplace covariance answers first.  When the search fails, or the grid
+    cannot vouch for its sums (no negative definite Hessian at the mode, a
+    heavy tail, or no convergence within its node budget), nested QUADPACK,
+    whose cost grows steeply with dimension, does, split at the same centre.
     Each error bound is the last change between two grid levels plus the
     truncated mass, or QUADPACK's own estimate.
     """
     spec = spec or QuadratureSpec()
-    log_weight, u0, ref, fns = _prepare(model, data, prior, f)
-    try:
-        return _trapezoid(log_weight, u0, fns, spec)
-    except _NoFastPath:
-        return _quadpack(log_weight, u0, ref, fns, spec)
+    log_weight, u0, ref, fns, at_mode = _prepare(model, data, prior, f)
+    if at_mode:
+        try:
+            return _trapezoid(log_weight, u0, ref, fns, spec)
+        except _NoFastPath:
+            pass
+    return _quadpack(log_weight, u0, ref, fns, spec)
 
 
 def conjugate_pm(family: str, hyper, data) -> float:

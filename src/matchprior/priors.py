@@ -16,8 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import FamilyMismatch, InvalidHyperparameter, SupportMismatch
-from .geometry import (GeometryReport, geometry_at, jeffreys_log_density,
-                       jeffreys_log_grad, jeffreys_log_hess)
+from .geometry import (alpha_parallel_log_grad, geometry_at,
+                       jeffreys_log_density, jeffreys_log_grad, jeffreys_log_hess)
 from .models import ModelSpec, box_bounds, in_open_box
 
 
@@ -248,17 +248,11 @@ def matching_residual(pair: MatchingPair, model: ModelSpec, theta,
 
 def _target_form(model: ModelSpec, theta, **geo_kwargs) -> np.ndarray:
     """omega_a = d_a log pi_J + (1/2) g^{cd} Gamma^e_{cda}, the gradient of
-    log(pm/map) that the matching condition asks for."""
+    log(pm/map) that the matching condition asks for.  d_a log pi_J is the
+    contracted metric (alpha = 0) connection, so one report gives both."""
     rep = geometry_at(model, theta, **geo_kwargs)
-    return (jeffreys_log_grad(model, theta)
+    return (alpha_parallel_log_grad(rep, 0.0)
             + 0.5 * np.einsum("cd,cda->a", rep.g_inv, rep.gamma_e))
-
-
-def alpha_pair_target_grad(report: GeometryReport, alpha: float) -> np.ndarray:
-    """Target gradient of log(pm/map): d log pi_J - ((1-alpha)/4) T_a."""
-    gamma0 = report.gamma_m - 0.5 * report.T
-    jeff = np.einsum("abe,be->a", gamma0, report.g_inv)
-    return jeff - 0.25 * (1.0 - alpha) * report.T_contracted
 
 
 def matching_pair_1d(pm: PriorSpec, model: ModelSpec, theta0: float,

@@ -384,6 +384,24 @@ def test_pg_gibbs_validates_data_before_drawing(monkeypatch):
                              prior, cfg)
 
 
+def refuse_sweep(rng, z):
+    raise AssertionError("a Gibbs sweep started")
+
+
+def test_pg_gibbs_rejects_multicolumn_response(monkeypatch):
+    monkeypatch.setattr(mcmc, "polya_gamma_1", refuse_sweep)
+    with pytest.raises(ValueError, match="single column"):
+        mp.polya_gamma_gibbs(np.ones((4, 2)), np.ones((4, 2)),
+                             mp.normal_prior(0, 2), ChainConfig(length=20, seed=16))
+
+
+def test_pg_gibbs_rejects_non_binary_response(monkeypatch):
+    monkeypatch.setattr(mcmc, "polya_gamma_1", refuse_sweep)
+    with pytest.raises(ValueError, match="0 or 1"):
+        mp.polya_gamma_gibbs(np.ones((3, 1)), np.array([1.0, 0.0, 2.0]),
+                             mp.normal_prior(0, 2), ChainConfig(length=20, seed=16))
+
+
 def test_pg_gibbs_indefinite_precision_raises(monkeypatch):
     # negative PG weights make X' Omega X + P0 indefinite: dpotrf's info flag
     monkeypatch.setattr(mcmc, "polya_gamma_1",

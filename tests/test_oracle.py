@@ -6,6 +6,8 @@ from matchprior import oracle
 from matchprior.errors import (IndefiniteHessian, InvalidHyperparameter,
                                TailNotDecaying, ToleranceNotMet)
 from matchprior.estimators import LogPosterior
+from matchprior.experiments import (derived_seed, logistic_design,
+                                    logistic_scenario_data)
 from matchprior.oracle import QuadratureSpec, conjugate_pm
 
 
@@ -138,7 +140,7 @@ def test_log_substitution_matches_truncated_direct():
 def quadpack_reference(model, data, prior, f=None, spec=None):
     """The nested QUADPACK rule alone, behind the same checks."""
     spec = spec or QuadratureSpec()
-    log_weight, u0, ref, fns = oracle._prepare(model, data, prior, f)
+    log_weight, u0, ref, fns, _ = oracle._prepare(model, data, prior, f)
     return oracle._quadpack(log_weight, u0, ref, fns, spec)
 
 
@@ -229,7 +231,23 @@ def test_fast_path_evaluation_count(monkeypatch):
     assert len(calls) <= 150
 
 
-def test_centre_falls_back_to_default_init_on_library_errors():
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_logistic_jeffreys_posteriors(n):
+    # the tail probes reach |eta| > 37, where a weight p (1 - p) rounded to
+    # 0 and made the Fisher matrix singular
+    design = logistic_design(n)
+    model = mp.LogisticGLM(design)
+    y = logistic_scenario_data(
+        1, n, np.random.default_rng(derived_seed(707, 1, n, 0)))
+    data = mp.Dataset(y, design)
+    for prior in (mp.jeffreys_prior(model),
+                  mp.eflat_map_partner(mp.normal_prior(0.0, 1.0), model)):
+        v, err = mp.quad_posterior_expectation(model, data, prior)
+        assert np.all(np.isfinite(v))
+        assert np.all(err < 1e-11), (prior.label, err)
+
+
+def test_centre_falls_back_to_default_init_on_library_errors(monkeypatch):
     # with y = [0] the likelihood e^(-lam) has no interior maximum; the
     # posterior under gamma(2, 1) is gamma(2, 2), whose mean is 1
     model, data = mp.PoissonRate(), mp.Dataset(np.array([0.0]))
@@ -239,3 +257,25 @@ def test_centre_falls_back_to_default_init_on_library_errors():
     for rule in (mp.quad_posterior_expectation, quadpack_reference):
         v, _ = rule(model, data, prior)
         assert abs(v[0] - 1.0) < 1e-8
+    # the oracle searches the posterior mode once and runs no MLE
+    calls = []
+    value = LogPosterior.value
+    with monkeypatch.context() as m:
+        m.setattr(LogPosterior, "value",
+                  lambda self, th: calls.append(1) or value(self, th))
+        m.setattr(oracle, "quad", refuse_quadpack)
+        mp.quad_posterior_expectation(model, data, prior)
+    assert len(calls) <= 200
+
+    def fail(*args, **kwargs):
+        raise IndefiniteHessian("no mode")
+
+    # when the mode search itself fails, QUADPACK answers about default_init
+    monkeypatch.setattr(oracle, "_maximize", fail)
+    quadpack = []
+    quad = oracle.quad
+    monkeypatch.setattr(oracle, "quad",
+                        lambda *a, **k: quadpack.append(1) or quad(*a, **k))
+    v, _ = mp.quad_posterior_expectation(model, data, prior)
+    assert quadpack
+    assert abs(v[0] - 1.0) < 1e-8

@@ -4,8 +4,8 @@ import pytest
 import matchprior as mp
 from matchprior.errors import (FamilyMismatch, InvalidHyperparameter,
                                SupportMismatch)
-from matchprior.geometry import GeometryReport, jeffreys_log_grad
-from matchprior.priors import alpha_pair_target_grad, parse_prior
+from matchprior.geometry import jeffreys_log_grad
+from matchprior.priors import _target_form, parse_prior
 
 
 def _fd_grad(prior, theta, h=1e-6):
@@ -153,23 +153,37 @@ def test_matching_pair_1d_quadrature_reproduces_eflat():
         mp.matching_pair_1d(pm, mp.PoissonSequence(2), 1.0)
 
 
-def test_alpha_pair_target_grad_flat_cases():
-    model = mp.PoissonRate()
-    th = np.array([1.5])
-    rep = mp.geometry_at(model, th)
-    # alpha = -1 (m-flat): target is Jeffreys + T_a/2 = grad log pi_J^2 here
-    target = alpha_pair_target_grad(rep, -1.0)
-    assert target[0] == pytest.approx(
-        jeffreys_log_grad(model, th)[0] - 0.5 * rep.T_contracted[0])
-    # alpha = 1 (e-flat): target equals the Jeffreys gradient
-    lam = 1.5
-    rep_e = GeometryReport(
-        g=np.array([[1 / lam]]), g_inv=np.array([[lam]]),
-        gamma_e=np.zeros((1, 1, 1)),
-        gamma_m=np.array([[[1 / lam**2]]]), T=np.array([[[1 / lam**2]]]),
-        T_contracted=np.array([1 / lam]), at=th)
-    assert alpha_pair_target_grad(rep_e, 1.0)[0] == pytest.approx(
-        0.5 / lam)
+def test_target_form_is_alpha_affine_contraction():
+    # Gamma^e = -((1 - alpha)/2) T and d log pi_J = (alpha/2) T_a, so
+    # omega = ((3 alpha - 1)/4) T_a in alpha-affine coordinates
+    design = np.column_stack([np.linspace(-1.0, 2.0, 7), np.ones(7)])
+    cases = [(mp.PoissonRate(), [np.array([0.3]), np.array([1.5])]),
+             (mp.GaussianKnownMeanPrecision(), [np.array([0.7]),
+                                                np.array([4.0])]),
+             (mp.LogisticGLM(design), [np.zeros(2), np.array([0.8, -1.3])])]
+    for model, points in cases:
+        for th in points:
+            rep = mp.geometry_at(model, th)
+            expect = 0.25 * (3.0 * model.alpha - 1.0) * rep.T_contracted
+            got = _target_form(model, th)
+            assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect)), \
+                (model.name, th, got, expect)
+
+
+def test_target_form_evaluates_the_model_once(monkeypatch):
+    model = mp.LogisticGLM(np.column_stack([np.linspace(-2.0, 2.0, 9),
+                                            np.ones(9)]))
+    calls = {"fisher": 0, "skewness": 0}
+    for name in calls:
+        method = getattr(model, name)
+
+        def counted(theta, name=name, method=method):
+            calls[name] += 1
+            return method(theta)
+
+        monkeypatch.setattr(model, name, counted)
+    _target_form(model, np.array([0.4, -0.2]))
+    assert calls == {"fisher": 1, "skewness": 1}
 
 
 def test_parse_prior_grammar():
