@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from pathlib import Path
 
 import click
 import numpy as np

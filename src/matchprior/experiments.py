@@ -25,6 +25,7 @@ from .mcmc import (ChainConfig, ChainOutput, batch_means_se, komaki_gibbs,
                    polya_gamma_gibbs, rwmh)
 from .models import (Dataset, LogisticGLM, MultivariateCauchyLocation,
                      PoissonSequence, sigmoid)
+from .oracle import conjugate_pm
 from .priors import eflat_map_partner, komaki_prior, normal_prior
 
 
@@ -177,10 +178,10 @@ def _timed(job):
 
 def _cell_rows(experiment, n, rep, jobs) -> list[dict]:
     """Time each (label, job) of one cell in order.  A job returns a chain,
-    whose posterior mean and mc_se are recorded, or an estimate, whose point
-    is.  The first job's point is the reference the others are measured
-    against, so when it raises a MatchPriorError the cell ends at its error
-    row."""
+    whose posterior mean and mc_se are recorded, an estimate, whose point
+    is, or a bare array, recorded as a point with a blank mc_se.  The first
+    job's point is the reference the others are measured against, so when it
+    raises a MatchPriorError the cell ends at its error row."""
     rows, ref = [], None
     for label, job in jobs:
         try:
@@ -191,7 +192,8 @@ def _cell_rows(experiment, n, rep, jobs) -> list[dict]:
                 break
             continue
         point, mc_se = ((res.posterior_mean, res.mc_se)
-                        if isinstance(res, ChainOutput) else (res.point, None))
+                        if isinstance(res, ChainOutput)
+                        else (getattr(res, "point", res), None))
         ref = point if ref is None else ref
         rows.append(_gap_row(experiment, n, rep, label, point, ref, seconds,
                              mc_se))
@@ -271,23 +273,22 @@ def _shrinkage_inputs(counts, n):
             komaki_prior(beta, alpha, floor=1e-3))
 
 
-def _shrinkage_cell(n, rep, counts, config: ExperimentConfig):
+def _shrinkage_cell(n, rep, counts):
     beta, alpha, model, data, prior = _shrinkage_inputs(counts, n)
-    cell_seed = derived_seed(config.seed, n, rep)
-    chain_cfg = ChainConfig(length=config.chain_length, burnin=config.burnin,
-                            seed=derived_seed(cell_seed, 1))
+    pm = functools.partial(conjugate_pm, "poisson-komaki", data=data)
     return _cell_rows("poisson-shrinkage", n, rep, [
         ("map-komaki", lambda: map_estimate(model, data, prior)),
-        ("pm-komaki", lambda: komaki_gibbs(counts, n, beta, alpha, chain_cfg)),
-        ("pm-matching", lambda: komaki_gibbs(counts, n, beta - 1.0, alpha,
-                                             chain_cfg))])
+        ("pm-komaki", lambda: pm((beta, alpha))),
+        ("pm-matching", lambda: pm((beta - 1.0, alpha)))])
 
 
 def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
     """Shrinkage-prior gap study on independent Poisson rates.
 
-    Compares the Gibbs posterior mean under the shrinkage prior and under its
-    matching-pair partner against the bounded MAP under the shrinkage prior.
+    Compares the closed-form posterior means (conjugate_pm "poisson-komaki")
+    under the shrinkage prior and under its matching-pair partner, beta - 1,
+    against the bounded MAP under the shrinkage prior.  No chain runs, so
+    chain_length and burnin are not read and mc_se is blank.
     config.extra["generator"] picks the counts: "synthetic" (default)
     alternates tiny and moderate rates in config.dim (default 100)
     coordinates; "csv" reads a (periods x d) count matrix from
@@ -319,7 +320,7 @@ def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
     else:
         raise ValueError(f"unknown generator {generator!r}")
     rows = [row for n, rep, counts in cells
-            for row in _shrinkage_cell(n, rep, counts, config)]
+            for row in _shrinkage_cell(n, rep, counts)]
     return _write_outputs(config, rows, {"generator": generator, "dim": d,
                                          "reference": "map-komaki"})
 

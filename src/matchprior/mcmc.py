@@ -17,7 +17,7 @@ from .errors import (InvalidHyperparameter, NonFiniteInput, SingularPrecision,
                      ZeroAcceptance)
 from .estimators import LogPosterior
 from .models import Dataset, ModelSpec, row_outer
-from .priors import PriorSpec
+from .priors import PriorSpec, _komaki_shape
 
 
 @dataclass(frozen=True)
@@ -463,17 +463,7 @@ def komaki_gibbs(counts, n: int, beta_vec, alpha_exp: float,
     u | lam ~ Gamma(alpha, rate=sum lam), lam_i | u ~ Gamma(beta_i + S_i, n + u).
     """
     counts = np.atleast_1d(np.asarray(counts, dtype=float))
-    beta_vec = np.broadcast_to(np.asarray(beta_vec, dtype=float),
-                               counts.shape).copy()
-    if np.any(beta_vec <= 0) or alpha_exp <= 0:
-        raise InvalidHyperparameter("need beta > 0 elementwise and alpha > 0")
-    if n < 1 or np.any(counts < 0):
-        raise InvalidHyperparameter("need n >= 1 and nonnegative counts")
-    shape = beta_vec + counts
-    # mass near lam = 0: int r^{sum(beta + S) - alpha - 1} dr, r = sum(lam)
-    if shape.sum() <= alpha_exp:
-        raise InvalidHyperparameter(f"improper posterior: sum(beta + S) = "
-                                    f"{shape.sum():g} <= alpha = {alpha_exp:g}")
+    shape = _komaki_shape(counts, n, beta_vec, alpha_exp)
     rng = np.random.default_rng(config.seed)
     lam = counts / n + 1.0 if init is None else np.asarray(init, dtype=float).copy()
     samples = np.empty((config.length, counts.size))

@@ -363,12 +363,17 @@ class LogisticGLM(ModelSpec):
         w = p * (1.0 - p) * (1.0 - 2.0 * p)
         return -weighted_cube(x, w) / data.n
 
+    def _tail_weights(self, theta):
+        """eta = X theta, q = min(p, 1 - p) and w = p (1 - p) = q (1 - q), from
+        e = exp(-|eta|): the tanh sigmoid rounds p to 0 or 1 from |eta| ~ 37."""
+        eta = self.design @ np.asarray(theta, dtype=float)
+        e = np.exp(-np.abs(eta))
+        q = e / (1.0 + e)
+        return eta, q, q * (1.0 - q)
+
     def fisher(self, theta):
-        # p (1 - p) as e / (1 + e)^2, e = exp(-|eta|): 1 - p is 0 from |eta| ~ 37
         x = self.design
-        e = np.exp(-np.abs(x @ np.asarray(theta, dtype=float)))
-        w = e / (1.0 + e) ** 2
-        return (x.T * w) @ x / x.shape[0]
+        return (x.T * self._tail_weights(theta)[2]) @ x / x.shape[0]
 
     @cached_property
     def _design_outer(self):
@@ -379,16 +384,14 @@ class LogisticGLM(ModelSpec):
     def skewness(self, theta):
         x = self.design
         n, d = x.shape
-        p = sigmoid(x @ np.asarray(theta, dtype=float))
-        w = p * (1.0 - p) * (1.0 - 2.0 * p)
+        eta, q, w = self._tail_weights(theta)
+        w = np.copysign(w * (1.0 - 2.0 * q), -eta)  # w (1 - 2p)
         return ((x * w[:, None]).T @ self._design_outer).reshape(d, d, d) / n
 
     def fisher_hess(self, theta):
         # d^2/d eta^2 of w = p(1-p) is w (1 - 6w)
-        x = self.design
-        n, d = x.shape
-        p = sigmoid(x @ np.asarray(theta, dtype=float))
-        w = p * (1.0 - p)
+        n, d = self.design.shape
+        w = self._tail_weights(theta)[2]
         outer = self._design_outer
         quad = (outer * (w * (1.0 - 6.0 * w))[:, None]).T @ outer
         return quad.reshape((d,) * 4) / n

@@ -19,11 +19,12 @@ from .errors import (InvalidHyperparameter, MatchPriorError, TailNotDecaying,
 # mle is unused here; it stays importable because bench/tracing.py rebinds it
 from .estimators import LogPosterior, Statistic, _maximize, mle
 from .models import Dataset, ModelSpec
-from .priors import PriorSpec
+from .priors import PriorSpec, _komaki_shape
 
 _PROBE_NEAR = 15.0
 _PROBE_FAR = 40.0
 _EPSREL = 1e-10          # relative tolerance of both rules
+_MAX_SUBDIVISIONS = 200  # QUADPACK's interval limit per integral
 _CENTRE_TOL = 1e-6       # scaled gradient norm at which the mode search stops
 # the trapezoid grid; its lengths are in Laplace standard deviations
 _GRID_LEVELS = 6
@@ -35,13 +36,10 @@ _NEGLIGIBLE = 1e-3       # a node's mass, relative to the centre's, per abs_tol
 @dataclass(frozen=True)
 class QuadratureSpec:
     abs_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if self.abs_tol <= 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,7 @@ def _quadpack(log_weight: _LogWeight, u0, ref, fns, spec: QuadratureSpec):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 parts = [quad(inner, a, b, epsabs=spec.abs_tol, epsrel=_EPSREL,
-                              limit=spec.max_subdivisions, full_output=1)
+                              limit=_MAX_SUBDIVISIONS, full_output=1)
                          for a, b in zip(cuts, cuts[1:])]
             if any(len(r) > 3 for r in parts):
                 trouble.append(i)
@@ -320,24 +318,29 @@ def quad_posterior_expectation(model: ModelSpec, data: Dataset,
     return _quadpack(log_weight, u0, ref, fns, spec)
 
 
-def conjugate_pm(family: str, hyper, data) -> float:
-    """Closed-form posterior means for the two conjugate validation families.
+def conjugate_pm(family: str, hyper, data):
+    """Closed-form posterior means for three conjugate families.
 
     poisson-gamma: counts y with Gamma(a, b) prior on the rate gives
     (a + sum y) / (b + n).  gaussianprecision-gamma: zero-mean normal data
     with Gamma(a, b) prior on the precision gives (a + n/2) / (b + sum y^2 / 2).
+    poisson-komaki: (n, d) count rows under komaki_prior(beta, alpha) give
+    (A - alpha) / n * a / A, a = beta + column sums, A = sum a, which is also
+    the MAP under beta + 1; InvalidHyperparameter wherever komaki_gibbs raises.
     """
+    y = np.asarray(getattr(data, "responses", data), dtype=float)
+    if family == "poisson-komaki":
+        rows = y if y.ndim == 2 else y.reshape(-1, 1)
+        n, alpha = rows.shape[0], float(hyper[1])
+        a = _komaki_shape(rows.sum(axis=0), n, hyper[0], alpha)
+        return (a.sum() - alpha) / n * a / a.sum()
     a, b = float(hyper[0]), float(hyper[1])
     if a <= 0 or b <= 0:
         raise InvalidHyperparameter(f"gamma hyperparameters must be positive, "
                                     f"got a={a}, b={b}")
-    if isinstance(data, Dataset):
-        y = data.responses.ravel()
-    else:
-        y = np.asarray(data, dtype=float).ravel()
-    n = y.shape[0]
+    y = y.ravel()
     if family == "poisson-gamma":
-        return (a + float(np.sum(y))) / (b + n)
+        return (a + float(np.sum(y))) / (b + y.size)
     if family == "gaussianprecision-gamma":
-        return (a + 0.5 * n) / (b + 0.5 * float(np.sum(y * y)))
+        return (a + 0.5 * y.size) / (b + 0.5 * float(np.sum(y * y)))
     raise ValueError(f"unknown conjugate family {family!r}")

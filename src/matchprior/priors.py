@@ -174,6 +174,24 @@ def komaki_prior(beta_vec, alpha_exp, floor=0.0) -> PriorSpec:
                      opt_lower=np.full(d, floor) if floor > 0 else None)
 
 
+def _komaki_shape(counts, n, beta_vec, alpha_exp) -> np.ndarray:
+    """a = beta + S for count sums S over n periods under komaki_prior(beta,
+    alpha), where sum(lam) ~ Gamma(sum a - alpha, rate n) and lam / sum(lam)
+    ~ Dirichlet(a); InvalidHyperparameter unless that posterior is proper."""
+    counts = np.atleast_1d(np.asarray(counts, dtype=float))
+    beta_vec = np.broadcast_to(np.asarray(beta_vec, dtype=float), counts.shape)
+    if np.any(beta_vec <= 0) or alpha_exp <= 0:
+        raise InvalidHyperparameter("need beta > 0 elementwise and alpha > 0")
+    if n < 1 or np.any(counts < 0):
+        raise InvalidHyperparameter("need n >= 1 and nonnegative counts")
+    shape = beta_vec + counts
+    # mass near lam = 0: int r^{sum(beta + S) - alpha - 1} dr, r = sum(lam)
+    if shape.sum() <= alpha_exp:
+        raise InvalidHyperparameter(f"improper posterior: sum(beta + S) = "
+                                    f"{shape.sum():g} <= alpha = {alpha_exp:g}")
+    return shape
+
+
 # ---------------------------------------------------------------------------
 # matching-pair constructors
 

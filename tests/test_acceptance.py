@@ -13,8 +13,9 @@ from click.testing import CliRunner
 
 import matchprior as mp
 from matchprior.cli import main as cli_main
-from matchprior.experiments import (ExperimentConfig, derived_seed,
-                                    logistic_design, logistic_scenario_data)
+from matchprior.experiments import (ExperimentConfig, _shrinkage_inputs,
+                                    derived_seed, logistic_design,
+                                    logistic_scenario_data, shrinkage_rates)
 from matchprior.geometry import (alpha_connection, alpha_parallel_log_grad,
                                  geometry_at, jeffreys_log_grad)
 from matchprior.mcmc import ChainConfig
@@ -250,10 +251,26 @@ def test_criterion_08_shrinkage_gap_ordering(tmp_path):
                 float(by[(n, "pm-komaki")]["gap_l2"]))
             for n in ("1", "10", "100")}
     ok = all(m < k for m, k in gaps.values())
+    # exact matching: on every cell proper under beta - 1 whose floor is
+    # inactive, the MAP under beta is the closed-form mean under beta - 1
+    worst, gated = 0.0, 0
+    for n in cfg.n_grid:
+        counts = np.random.default_rng(derived_seed(cfg.seed, n, 0, 7)).poisson(
+            shrinkage_rates(cfg.dim) * n).astype(float)
+        beta, alpha, model, data, prior = _shrinkage_inputs(counts, n)
+        try:
+            pm = mp.conjugate_pm("poisson-komaki", (beta - 1.0, alpha), data)
+        except mp.InvalidHyperparameter:
+            continue
+        if np.all(pm > prior.opt_lower):
+            est = mp.map_estimate(model, data, prior, tol=1e-11)
+            worst, gated = max(worst, np.max(np.abs(est.point - pm))), gated + 1
+    ok = ok and gated > 0 and worst < 1e-10
     elapsed = time.perf_counter() - t0
-    _report(8, "poisson shrinkage gap ordering", ok and elapsed < 180,
+    _report(8, "poisson shrinkage gap ordering and exact matching",
+            ok and elapsed < 180,
             ", ".join(f"n={n}: {m:.3f}<{k:.3f}" for n, (m, k) in gaps.items())
-            + f", {elapsed:.0f}s")
+            + f", {gated} cells exact to {worst:.1e}, {elapsed:.0f}s")
 
 
 def test_criterion_09_cauchy_calibration():
@@ -301,16 +318,12 @@ def test_criterion_10_sampler_oracles():
               and np.all(np.abs(pg.posterior_mean - rw.posterior_mean)
                          < 3 * np.sqrt(pg.mc_se**2 + rw.mc_se**2)))
 
-    # komaki gibbs vs quadrature at d=1 and d=2
+    # komaki gibbs vs the closed-form posterior mean at d=1 and d=2
     beta1, alpha1 = 3.0, 2.0
     ch1 = mp.komaki_gibbs(np.array([4.0]), 2, np.array([beta1]), alpha1,
                           ChainConfig(length=50_000, burnin=1000, seed=1004))
-    p1 = mp.PriorSpec("k1",
-                      lambda th: float((beta1 - 1 - alpha1) * np.log(th[0])),
-                      lambda th: np.array([(beta1 - 1 - alpha1) / th[0]]),
-                      False, support=[(0.0, np.inf)])
-    q1, _ = mp.quad_posterior_expectation(
-        mp.PoissonRate(), mp.Dataset(np.tile([2.0], (2, 1))), p1)
+    q1 = mp.conjugate_pm("poisson-komaki", (beta1, alpha1),
+                         np.tile([2.0], (2, 1)))
     ok = ok and bool(np.all(np.abs(ch1.posterior_mean - q1) < 3 * ch1.mc_se))
 
     bv = np.array([3.0, 3.0])
@@ -318,11 +331,10 @@ def test_criterion_10_sampler_oracles():
     counts = np.array([2.0, 5.0])
     ch2 = mp.komaki_gibbs(counts, 3, bv, al,
                           ChainConfig(length=50_000, burnin=1000, seed=1005))
-    q2, _ = mp.quad_posterior_expectation(
-        mp.PoissonSequence(2), mp.Dataset(np.tile(counts / 3, (3, 1))),
-        mp.komaki_prior(bv, al), spec=mp.QuadratureSpec(abs_tol=1e-8))
+    q2 = mp.conjugate_pm("poisson-komaki", (bv, al),
+                         np.tile(counts / 3, (3, 1)))
     ok = ok and bool(np.all(np.abs(ch2.posterior_mean - q2) < 3 * ch2.mc_se))
-    _report(10, "samplers agree with quadrature oracles", ok)
+    _report(10, "samplers agree with quadrature and closed-form oracles", ok)
 
 
 def test_criterion_11_cli_determinism(tmp_path):

@@ -126,7 +126,13 @@ def test_scenario2_runs_single_rep(tmp_path):
     assert len(rows) == 3
 
 
-def test_shrinkage_run_and_gap_ordering(tmp_path):
+def test_shrinkage_run_and_gap_ordering(tmp_path, monkeypatch):
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("the shrinkage study ran komaki_gibbs")
+
+    # both posterior means are closed forms, so no chain runs
+    monkeypatch.setattr(experiments, "komaki_gibbs", no_sampler)
+    monkeypatch.setattr(mp.mcmc, "komaki_gibbs", no_sampler)
     cfg = ExperimentConfig(experiment="poisson-shrinkage",
                            out=str(tmp_path), n_grid=(1, 10), reps=1, seed=2,
                            chain_length=3000, burnin=500, dim=12)
@@ -139,6 +145,7 @@ def test_shrinkage_run_and_gap_ordering(tmp_path):
     assert by[("1", "pm-matching")]["status"].startswith(
         "error:InvalidHyperparameter")
     assert by[("1", "pm-komaki")]["status"] == "ok"
+    assert by[("1", "pm-komaki")]["mc_se"] == ""
     match = float(by[("10", "pm-matching")]["gap_l2"])
     komaki = float(by[("10", "pm-komaki")]["gap_l2"])
     assert match < komaki

@@ -198,6 +198,29 @@ def test_jeffreys_log_hess_matches_fd_of_grad():
         assert np.allclose(hess, fd, rtol=1e-6, atol=1e-8), model.name
 
 
+@pytest.mark.parametrize("theta", [(1.0, 30.0), (1.0, 36.0), (1.0, 38.0),
+                                   (1.0, 45.0), (1.0, -45.0)])
+def test_logistic_jeffreys_derivatives_hold_in_the_tails(theta):
+    # from |eta| ~ 37 the tanh sigmoid rounds p to 0 or 1, so weights formed
+    # from p (1 - p) vanish while the log density still moves
+    n = 16
+    model = mp.LogisticGLM(np.column_stack([np.arange(1, n + 1) / n,
+                                            np.ones(n)]))
+    theta = np.array(theta)
+
+    def log_density(th):
+        return jeffreys_log_density(model, th)
+
+    grad = central_difference(log_density, theta, 1e-3)
+    hess = central_difference(
+        lambda th: central_difference(log_density, th, 1e-3), theta, 1e-3)
+    assert np.abs(grad).max() > 0.4
+    assert np.allclose(jeffreys_log_grad(model, theta), grad, rtol=0,
+                       atol=1e-9)
+    assert np.allclose(jeffreys_log_hess(model, theta), hess, rtol=0,
+                       atol=1e-7)
+
+
 def test_jeffreys_log_hess_fd_fallback_without_fisher_hess():
     class NoHess(mp.PoissonSequence):
         def fisher_hess(self, theta):

@@ -14,8 +14,6 @@ from matchprior.oracle import QuadratureSpec, conjugate_pm
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=2)
 
 
 def test_conjugate_pm_closed_values():
@@ -29,6 +27,19 @@ def test_conjugate_pm_closed_values():
         conjugate_pm("poisson-gamma", (0.0, 1.0), np.array([1.0]))
     with pytest.raises(ValueError):
         conjugate_pm("beta-binomial", (1.0, 1.0), np.array([1.0]))
+    # komaki: a = beta + S = (5, 8), A = 13, mean (A - alpha) / n * a / A
+    rows = np.tile(np.array([2.0, 5.0]) / 3, (3, 1))
+    assert np.allclose(conjugate_pm("poisson-komaki", (3.0, 5.0), rows),
+                       [40 / 39, 64 / 39], rtol=1e-15, atol=0)
+    assert np.array_equal(
+        conjugate_pm("poisson-komaki", (3.0, 5.0), mp.Dataset(rows)),
+        conjugate_pm("poisson-komaki", (np.array([3.0, 3.0]), 5.0), rows))
+    for hyper, counts in [((0.0, 5.0), rows), ((3.0, 0.0), rows),
+                          ((3.0, 5.0), np.empty((0, 2))),
+                          ((3.0, 5.0), np.array([[1.0, -2.0]])),
+                          ((1.0, 9.0), rows)]:          # A = 9 <= alpha
+        with pytest.raises(InvalidHyperparameter):
+            conjugate_pm("poisson-komaki", hyper, counts)
 
 
 def test_quadrature_poisson_gamma_exact():
@@ -174,13 +185,21 @@ def test_fast_path_matches_conjugate_pm(family, model, n, no_quadpack):
             assert err[0] < 1e-10
 
 
-def test_fast_path_komaki_d1_closed_form(no_quadpack):
-    # lam^(S + beta - alpha - 1) e^(-n lam) is Gamma(S + beta - alpha, n)
-    counts, n, beta, alpha = np.array([4.0]), 2, np.array([3.0]), 2.0
-    v, _ = mp.quad_posterior_expectation(
-        mp.PoissonSequence(1), mp.Dataset(np.tile(counts / n, (n, 1))),
-        mp.komaki_prior(beta, alpha))
-    assert abs(v[0] - (counts[0] + beta[0] - alpha) / n) < 1e-10
+@pytest.mark.parametrize("counts, n, alpha, abs_tol", [
+    ((4.0,), 2, 2.0, 1e-10), ((2.0, 5.0), 3, 5.0, 1e-8)], ids=["d1", "d2"])
+def test_fast_path_komaki_closed_form(counts, n, alpha, abs_tol, no_quadpack):
+    # at d = 1, lam^(S + beta - alpha - 1) e^(-n lam) is
+    # Gamma(S + beta - alpha, n); in general conjugate_pm has the mean
+    counts = np.array(counts)
+    beta = np.full(counts.shape, 3.0)
+    data = mp.Dataset(np.tile(counts / n, (n, 1)))
+    v, err = mp.quad_posterior_expectation(
+        mp.PoissonSequence(counts.size), data, mp.komaki_prior(beta, alpha),
+        spec=QuadratureSpec(abs_tol=abs_tol))
+    exact = conjugate_pm("poisson-komaki", (beta, alpha), data)
+    if counts.size == 1:
+        assert exact[0] == (counts[0] + beta[0] - alpha) / n
+    assert np.all(np.abs(v - exact) < 1e-10) and np.all(err < 1e-10)
 
 
 def test_fast_path_d2_within_quadpack_bounds(monkeypatch):
