@@ -157,16 +157,15 @@ def estimate(model_name, prior_text, method, data_path, banknote, bound_lo,
     data = _load_data(data_path, banknote)
     model = build_model(model_name, data)
     prior = parse_prior(prior_text, model) if prior_text else None
-    bounds = (bound_lo, None) if bound_lo is not None else None
     if method != "mle" and prior is None:
         raise click.UsageError(f"{method} needs --prior")
     if method == "mle":
         res = mle(model, data, tol=tol)
     elif method == "map":
-        res = map_estimate(model, data, prior, tol=tol, bounds=bounds)
+        res = map_estimate(model, data, prior, tol=tol, lower=bound_lo)
     elif method == "calibrate":
-        map_res = map_estimate(model, data, prior, tol=tol, bounds=bounds)
-        res = calibrate_pm_from_map(model, data, map_res.point, bounds=bounds)
+        map_res = map_estimate(model, data, prior, tol=tol, lower=bound_lo)
+        res = calibrate_pm_from_map(model, data, map_res.point, lower=bound_lo)
         res.diagnostics["map_point"] = map_res.point
     else:
         mle_res = mle(model, data, tol=tol)

@@ -42,11 +42,11 @@ class NotConverged(MatchPriorError):
 
 
 class IndefiniteHessian(MatchPriorError):
-    """Both Newton and gradient-ascent fallbacks failed on a non-concave objective."""
+    """Line search found no ascent along the (ridged) Newton direction."""
 
 
 class BoundaryStuck(MatchPriorError):
-    """All coordinates pinned to bounds with the gradient pointing outward."""
+    """All coordinates pinned to the lower bound with the gradient pointing outward."""
 
 
 class BoundaryPoint(MatchPriorError):

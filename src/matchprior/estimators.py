@@ -88,7 +88,7 @@ class LogPosterior:
 
 
 # ---------------------------------------------------------------------------
-# Newton-type maximization with optional box bounds
+# projected Newton ascent above an optional lower bound
 
 
 def _newton_direction(neg_hess, grad):
@@ -107,31 +107,30 @@ def _newton_direction(neg_hess, grad):
     raise IndefiniteHessian("could not regularize the Hessian into an ascent direction")
 
 
-def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
-    """Projected Newton ascent of post.value; a bound is a scalar, a
-    per-coordinate array or None (unbounded)."""
+def _maximize(post: LogPosterior, init, tol, max_iter, lower=None):
+    """Projected Newton ascent of post.value; lower is a scalar, a
+    per-coordinate array or None (unbounded).  IndefiniteHessian when the
+    line search along the (ridged) Newton direction finds no ascent."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be a finite positive number")
     theta = np.asarray(init, dtype=float).copy()
     d = theta.shape[0]
     lower = np.broadcast_to(-np.inf if lower is None else lower, d).astype(float)
-    upper = np.broadcast_to(np.inf if upper is None else upper, d).astype(float)
-    theta = np.clip(theta, lower, upper)
+    theta = np.maximum(theta, lower)
     used_ridge = False
     # nan_to_num keeps the margin finite, so an infinite bound stays infinite
     lo_thr = lower + _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(lower)))
-    hi_thr = upper - _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(upper)))
     # one value per point: an accepted trial's f1 becomes the next f0
     f0 = post.value(theta)
     # free coordinates and Cholesky factor of the last Newton direction
     last = None
     for it in range(1, max_iter + 1):
         g = post.grad(theta)
-        at_lo = theta <= lo_thr
-        at_hi = theta >= hi_thr
-        pinned = (at_lo & (g < 0)) | (at_hi & (g > 0))
+        pinned = (theta <= lo_thr) & (g < 0)
         free = ~pinned
         if not np.any(free):
             raise BoundaryStuck(
-                "all coordinates pinned to bounds with outward gradient")
+                "all coordinates pinned to the lower bound with outward gradient")
         gnorm = np.linalg.norm(g[free])
         size = max(1.0, np.linalg.norm(theta))
         idx = np.where(free)[0]
@@ -155,27 +154,19 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None, upper=None):
         # in the quadratic endgame the predicted gain falls below the float
         # resolution of f0; line search cannot verify it, so trust Newton
         if np.dot(g, step) <= 1e-12 * max(1.0, abs(f0)):
-            trial = np.clip(theta + step, lower, upper)
+            trial = np.maximum(theta + step, lower)
             f1 = post.value(trial)
             if np.isfinite(f1):
                 theta, f0 = trial, f1
                 continue
         for k in range(60):
-            trial = np.clip(theta + 0.5**k * step, lower, upper)
+            trial = np.maximum(theta + 0.5**k * step, lower)
             f1 = post.value(trial)
             if np.isfinite(f1) and f1 >= f0 + _ARMIJO_C * np.dot(g, trial - theta):
                 break
         else:
-            # Newton direction failed in line search; retry with plain gradient.
-            t = 1.0 / max(1.0, np.linalg.norm(g))
-            for k in range(60):
-                trial = np.clip(theta + t * 0.5**k * g, lower, upper)
-                f1 = post.value(trial)
-                if np.isfinite(f1) and f1 > f0:
-                    break
-            else:
-                raise IndefiniteHessian(
-                    "neither Newton nor gradient ascent could make progress")
+            raise IndefiniteHessian("line search found no ascent along the "
+                                    "Newton direction")
         theta, f0 = trial, f1
     raise NotConverged(f"no convergence in {max_iter} iterations",
                        result=EstimateResult(theta, "MLE",
@@ -202,20 +193,20 @@ def mle(model: ModelSpec, data: Dataset, init=None, tol: float = 1e-8,
 
 
 def map_estimate(model: ModelSpec, data: Dataset, prior: PriorSpec, init=None,
-                 tol: float = 1e-8, bounds=None,
+                 tol: float = 1e-8, lower=None,
                  max_iter: int = 500) -> EstimateResult:
     """MAP estimate: maximizes n * avg log-likelihood + log prior.
 
-    bounds, if given, is a (lower, upper) pair of per-coordinate arrays (use
-    None entries for unbounded sides); optimization is projected Newton.
+    lower, a scalar or per-coordinate array, bounds the projected Newton
+    search from below; it defaults to the prior's opt_lower.
     """
     if init is None:
         init = model.default_init(data)
-    if bounds is None:
-        bounds = (prior.opt_lower, None)
+    if lower is None:
+        lower = prior.opt_lower
     try:
         theta, diag = _maximize(LogPosterior(model, data, prior), init, tol,
-                                max_iter, *bounds)
+                                max_iter, lower)
     except NotConverged as exc:
         exc.result.method = "MAP"
         exc.result.diagnostics["prior"] = prior.label
@@ -225,7 +216,7 @@ def map_estimate(model: ModelSpec, data: Dataset, prior: PriorSpec, init=None,
 
 
 def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
-                          information: str = "fisher", bounds=None,
+                          information: str = "fisher", lower=None,
                           prior_gap=None) -> EstimateResult:
     """One-step posterior-mean calibration from a MAP estimate.
 
@@ -233,15 +224,12 @@ def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
     Valid as stated when the posterior-mean and MAP priors coincide; the
     experimental prior_gap=(pm, map) option adds the general first-order gap
     term (1/n) g^{ab} d_b log(pm/map).  information picks g: "fisher" (the
-    model's Fisher metric) or "observed" (minus the average Hessian).
+    model's Fisher metric) or "observed" (minus the average Hessian).  A MAP
+    within 1e-10 of lower (a scalar or per-coordinate array) is BoundaryPoint.
     """
     theta = check_point(model, np.asarray(map_est, dtype=float))
-    if bounds is not None:
-        lo, hi = bounds
-        if lo is not None and np.any(theta <= np.asarray(lo, float) + 1e-10):
-            raise BoundaryPoint("MAP estimate pinned to a bound; calibration invalid")
-        if hi is not None and np.any(theta >= np.asarray(hi, float) - 1e-10):
-            raise BoundaryPoint("MAP estimate pinned to a bound; calibration invalid")
+    if lower is not None and np.any(theta <= np.asarray(lower, float) + 1e-10):
+        raise BoundaryPoint("MAP estimate pinned to a bound; calibration invalid")
     n = data.n
     if information == "fisher":
         g = model.fisher(theta)

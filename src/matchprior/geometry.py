@@ -113,13 +113,13 @@ def alpha_connection(report: GeometryReport, alpha: float) -> np.ndarray:
     return report.gamma_m - 0.5 * (1.0 + alpha) * report.T
 
 
-def fisher_matrix_grad(model: ModelSpec, theta, h: float = 1e-5) -> np.ndarray:
+def fisher_matrix_grad(model: ModelSpec, theta) -> np.ndarray:
     """d g_bc / d theta_a: Gamma^e_abc + Gamma^m_acb = alpha T_abc for a model
     with an alpha, else central differences of fisher."""
     theta = check_point(model, theta)
     if model.alpha is not None:
         return model.alpha * model.skewness(theta)
-    return central_difference(model.fisher, theta, h, model.in_support)
+    return central_difference(model.fisher, theta, 1e-5, model.in_support)
 
 
 def jeffreys_log_grad(model: ModelSpec, theta) -> np.ndarray:

@@ -8,6 +8,7 @@ chains should derive child seeds with numpy's SeedSequence spawning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -28,13 +29,15 @@ class ChainConfig:
     step_scale: float | None = None
 
     def __post_init__(self):
+        if not all(isinstance(v, Integral) for v in (self.length, self.burnin)):
+            raise ValueError("length and burnin must be integers")
         if self.length <= 0 or self.burnin < 0:
             raise ValueError("need length > 0 and burnin >= 0")
         # batch means need two kept draws
         if self.length < 2:
             raise ValueError(f"length {self.length} keeps fewer than 2 draws")
-        if self.step_scale is not None and self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
+        if self.step_scale is not None and not 0 < self.step_scale < np.inf:
+            raise ValueError("step_scale must be finite and positive")
 
 
 @dataclass
@@ -79,6 +82,8 @@ def _finalize(samples, accepted, seed, extra):
 def rwmh_target(log_target, init, config: ChainConfig, proposal="gaussian",
                 chol_scale=None) -> ChainOutput:
     """Generic RWMH on a log target; the model-aware front end is rwmh()."""
+    if proposal not in ("gaussian", "cauchy"):
+        raise ValueError(f"proposal must be 'gaussian' or 'cauchy', got {proposal!r}")
     rng = np.random.default_rng(config.seed)
     theta = np.atleast_1d(np.asarray(init, dtype=float)).copy()
     d = theta.shape[0]
@@ -401,7 +406,7 @@ def polya_gamma_1(source, z) -> np.ndarray:
 
 
 def polya_gamma_gibbs(design, responses, prior: PriorSpec,
-                      config: ChainConfig, init=None) -> ChainOutput:
+                      config: ChainConfig) -> ChainOutput:
     """Gibbs sampler for Bayesian logistic regression via PG augmentation.
 
     Alternates omega_i | beta ~ PG(1, x_i beta) and beta | omega ~ Normal with
@@ -432,7 +437,7 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     xx = row_outer(x)
     rng = np.random.default_rng(config.seed)
     pool = PGPool(rng)
-    beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
+    beta = np.zeros(d)
     samples = np.empty((config.length, d))
     for it in range(config.burnin + config.length):
         omega = polya_gamma_1(pool, x @ beta)
@@ -456,7 +461,7 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
 
 
 def komaki_gibbs(counts, n: int, beta_vec, alpha_exp: float,
-                 config: ChainConfig, init=None) -> ChainOutput:
+                 config: ChainConfig) -> ChainOutput:
     """Gibbs sampler for independent Poisson rates under the shrinkage prior.
 
     Uses (sum lam)^{-alpha} = (1/Gamma(alpha)) int u^{alpha-1} e^{-u sum lam} du:
@@ -465,7 +470,7 @@ def komaki_gibbs(counts, n: int, beta_vec, alpha_exp: float,
     counts = np.atleast_1d(np.asarray(counts, dtype=float))
     shape = _komaki_shape(counts, n, beta_vec, alpha_exp)
     rng = np.random.default_rng(config.seed)
-    lam = counts / n + 1.0 if init is None else np.asarray(init, dtype=float).copy()
+    lam = counts / n + 1.0
     samples = np.empty((config.length, counts.size))
     for it in range(config.burnin + config.length):
         u = rng.gamma(alpha_exp, 1.0 / np.sum(lam))

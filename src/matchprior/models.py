@@ -85,7 +85,10 @@ class Dataset:
 
     @cached_property
     def log_factorial_mean(self) -> float:
-        """Mean over rows of sum_j log y_j!, the Poisson log-likelihood constant."""
+        """Mean over rows of sum_j log y_j!, the Poisson log-likelihood
+        constant; a negative count is a ValueError."""
+        if np.any(self.responses < 0):
+            raise ValueError("Poisson counts must be nonnegative")
         return float(np.mean(np.sum(gammaln(self.responses + 1.0), axis=1)))
 
     @property

@@ -38,8 +38,8 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not 0 < self.abs_tol < np.inf:
+            raise ValueError("abs_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -326,18 +326,21 @@ def conjugate_pm(family: str, hyper, data):
     with Gamma(a, b) prior on the precision gives (a + n/2) / (b + sum y^2 / 2).
     poisson-komaki: (n, d) count rows under komaki_prior(beta, alpha) give
     (A - alpha) / n * a / A, a = beta + column sums, A = sum a, which is also
-    the MAP under beta + 1; InvalidHyperparameter wherever komaki_gibbs raises.
+    the MAP under beta + 1; InvalidHyperparameter wherever komaki_gibbs raises
+    and on any negative count, before a column sum could hide it.
     """
     y = np.asarray(getattr(data, "responses", data), dtype=float)
+    if family.startswith("poisson") and np.any(y < 0):
+        raise InvalidHyperparameter("Poisson counts must be nonnegative")
     if family == "poisson-komaki":
         rows = y if y.ndim == 2 else y.reshape(-1, 1)
         n, alpha = rows.shape[0], float(hyper[1])
         a = _komaki_shape(rows.sum(axis=0), n, hyper[0], alpha)
         return (a.sum() - alpha) / n * a / a.sum()
     a, b = float(hyper[0]), float(hyper[1])
-    if a <= 0 or b <= 0:
-        raise InvalidHyperparameter(f"gamma hyperparameters must be positive, "
-                                    f"got a={a}, b={b}")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise InvalidHyperparameter(f"gamma hyperparameters must be finite and "
+                                    f"positive, got a={a}, b={b}")
     y = y.ravel()
     if family == "poisson-gamma":
         return (a + float(np.sum(y))) / (b + y.size)

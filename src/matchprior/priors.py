@@ -60,20 +60,20 @@ class MatchingPair:
 # basic catalog
 
 
-def uniform_prior(label="uniform") -> PriorSpec:
-    return PriorSpec(label,
+def uniform_prior() -> PriorSpec:
+    return PriorSpec("uniform",
                      lambda th: 0.0,
                      lambda th: np.zeros(np.atleast_1d(th).shape[0]),
                      proper=False,
                      log_hess=lambda th: np.zeros((np.atleast_1d(th).shape[0],) * 2))
 
 
-def normal_prior(mean=0.0, var=1.0, label=None) -> PriorSpec:
-    if var <= 0:
-        raise InvalidHyperparameter(f"variance {var} must be positive")
-    mean = float(mean)
-    var = float(var)
-    label = label or f"normal({mean:g},{var:g})"
+def normal_prior(mean=0.0, var=1.0) -> PriorSpec:
+    mean, var = float(mean), float(var)
+    if not (np.isfinite(mean) and 0 < var < np.inf):
+        raise InvalidHyperparameter(
+            f"normal prior needs a finite mean and variance > 0, got {mean},{var}")
+    label = f"normal({mean:g},{var:g})"
 
     def logd(th):
         th = np.atleast_1d(th)
@@ -90,11 +90,11 @@ def normal_prior(mean=0.0, var=1.0, label=None) -> PriorSpec:
     return PriorSpec(label, logd, grad, proper=True, log_hess=hess)
 
 
-def gamma_prior(a, b, label=None) -> PriorSpec:
+def gamma_prior(a, b) -> PriorSpec:
     """Product of iid Gamma(a, rate=b) over the coordinates."""
-    if a <= 0 or b <= 0:
-        raise InvalidHyperparameter(f"gamma prior needs a,b > 0, got {a},{b}")
-    label = label or f"gamma({a:g},{b:g})"
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise InvalidHyperparameter(f"gamma prior needs finite a,b > 0, got {a},{b}")
+    label = f"gamma({a:g},{b:g})"
 
     def logd(th):
         th = np.atleast_1d(th)
@@ -112,10 +112,10 @@ def gamma_prior(a, b, label=None) -> PriorSpec:
                      support=[(0.0, np.inf)], log_hess=hess)
 
 
-def invgamma_prior(a, b, label=None) -> PriorSpec:
-    if a <= 0 or b <= 0:
-        raise InvalidHyperparameter(f"invgamma prior needs a,b > 0, got {a},{b}")
-    label = label or f"invgamma({a:g},{b:g})"
+def invgamma_prior(a, b) -> PriorSpec:
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise InvalidHyperparameter(f"invgamma prior needs finite a,b > 0, got {a},{b}")
+    label = f"invgamma({a:g},{b:g})"
 
     def logd(th):
         th = np.atleast_1d(th)
@@ -133,8 +133,8 @@ def invgamma_prior(a, b, label=None) -> PriorSpec:
                      support=[(0.0, np.inf)], log_hess=hess)
 
 
-def jeffreys_prior(model: ModelSpec, label="jeffreys") -> PriorSpec:
-    return PriorSpec(label,
+def jeffreys_prior(model: ModelSpec) -> PriorSpec:
+    return PriorSpec("jeffreys",
                      lambda th: jeffreys_log_density(model, th),
                      lambda th: jeffreys_log_grad(model, th),
                      proper=False,
@@ -144,12 +144,12 @@ def jeffreys_prior(model: ModelSpec, label="jeffreys") -> PriorSpec:
 def komaki_prior(beta_vec, alpha_exp, floor=0.0) -> PriorSpec:
     """Shrinkage prior prod lambda_i^(beta_i - 1) / (sum lambda)^alpha."""
     beta_vec = np.atleast_1d(np.asarray(beta_vec, dtype=float))
-    if np.any(beta_vec <= 0):
-        raise InvalidHyperparameter("komaki prior needs beta > 0 elementwise")
-    if alpha_exp <= 0:
-        raise InvalidHyperparameter("komaki prior needs alpha > 0")
-    if floor < 0:
-        raise InvalidHyperparameter("floor must be nonnegative")
+    if not np.all((0 < beta_vec) & (beta_vec < np.inf)):
+        raise InvalidHyperparameter("komaki prior needs finite beta > 0 elementwise")
+    if not 0 < alpha_exp < np.inf:
+        raise InvalidHyperparameter("komaki prior needs finite alpha > 0")
+    if not 0 <= floor < np.inf:
+        raise InvalidHyperparameter("floor must be finite and nonnegative")
     d = beta_vec.shape[0]
     label = f"komaki(beta={beta_vec[0]:g}...,alpha={alpha_exp:g})"
 
@@ -180,8 +180,8 @@ def _komaki_shape(counts, n, beta_vec, alpha_exp) -> np.ndarray:
     ~ Dirichlet(a); InvalidHyperparameter unless that posterior is proper."""
     counts = np.atleast_1d(np.asarray(counts, dtype=float))
     beta_vec = np.broadcast_to(np.asarray(beta_vec, dtype=float), counts.shape)
-    if np.any(beta_vec <= 0) or alpha_exp <= 0:
-        raise InvalidHyperparameter("need beta > 0 elementwise and alpha > 0")
+    if not (np.all((0 < beta_vec) & (beta_vec < np.inf)) and 0 < alpha_exp < np.inf):
+        raise InvalidHyperparameter("need finite beta > 0 elementwise and alpha > 0")
     if n < 1 or np.any(counts < 0):
         raise InvalidHyperparameter("need n >= 1 and nonnegative counts")
     shape = beta_vec + counts
@@ -241,7 +241,7 @@ def mflat_pm_partner(map_prior: PriorSpec, model: ModelSpec) -> PriorSpec:
     return jeffreys_power_partner(map_prior, model, 2)
 
 
-def coords_multiplied(prior: PriorSpec, model: ModelSpec | None = None) -> PriorSpec:
+def coords_multiplied(prior: PriorSpec) -> PriorSpec:
     """Multiply a prior by the product of the coordinates (lambda * pi)."""
     return PriorSpec(
         prior.label + "*coords",
@@ -273,8 +273,7 @@ def _target_form(model: ModelSpec, theta, **geo_kwargs) -> np.ndarray:
             + 0.5 * np.einsum("cd,cda->a", rep.g_inv, rep.gamma_e))
 
 
-def matching_pair_1d(pm: PriorSpec, model: ModelSpec, theta0: float,
-                     abs_tol: float = 1e-10) -> MatchingPair:
+def matching_pair_1d(pm: PriorSpec, model: ModelSpec, theta0: float) -> MatchingPair:
     """General 1-D construction by quadrature of the matching ODE.
 
     log(pm/map)(t) = int_{theta0}^{t} omega, the target form of
@@ -286,7 +285,7 @@ def matching_pair_1d(pm: PriorSpec, model: ModelSpec, theta0: float,
     def log_ratio(th):
         t = float(np.atleast_1d(th)[0])
         return quad(lambda s: _target_form(model, np.array([s]))[0], theta0, t,
-                    epsabs=abs_tol)[0]
+                    epsabs=1e-10)[0]
 
     partner = PriorSpec(
         pm.label + "/ode",
@@ -317,7 +316,7 @@ def parse_prior(text: str, model: ModelSpec | None = None) -> PriorSpec:
         return eflat_map_partner(base, _require_model(model, text))
     if text.endswith("*coords"):
         base = parse_prior(text[:-len("*coords")], model)
-        return coords_multiplied(base, model)
+        return coords_multiplied(base)
     if text == "uniform":
         return uniform_prior()
     if text == "jeffreys":

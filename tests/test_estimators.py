@@ -106,7 +106,7 @@ def test_map_boundary_stuck():
     prior = mp.gamma_prior(1.0, 1.0)  # flat at 0, likelihood pushes down
     with pytest.raises(BoundaryStuck):
         mp.map_estimate(mp.PoissonRate(), data, prior,
-                        bounds=(np.array([0.5]), None),
+                        lower=np.array([0.5]),
                         init=np.array([0.5]))
 
 
@@ -123,6 +123,41 @@ def test_not_converged_carries_partial_result():
     assert exc.value.result.method == "MAP"
     assert exc.value.result.diagnostics["prior"] == "gamma(2,1)"
     assert not exc.value.result.diagnostics["converged"]
+
+
+def test_tol_must_be_finite_and_positive():
+    data = mp.Dataset(np.array([1.0, 4.0, 2.0]))
+    for tol in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            mp.mle(mp.PoissonRate(), data, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            mp.map_estimate(mp.PoissonRate(), data, mp.gamma_prior(2.0, 1.0),
+                            tol=tol)
+
+
+def test_negative_poisson_counts_raise_before_any_value(monkeypatch):
+    # a count in (-1, 0) has a finite log-factorial term, so only an explicit
+    # check stops it; a column sum can hide a negative entry
+    values = []
+    value = LogPosterior.value
+    monkeypatch.setattr(LogPosterior, "value",
+                        lambda self, th: values.append(value(self, th))
+                        or values[-1])
+    for family, hyper, y in (("poisson-gamma", (2, 1), [3, -1]),
+                             ("poisson-gamma", (2, 1), [3, -0.5]),
+                             ("poisson-komaki", (3, 5), [[3, -1], [-1, 3]])):
+        with pytest.raises(mp.InvalidHyperparameter, match="nonnegative"):
+            mp.conjugate_pm(family, hyper, np.array(y, dtype=float))
+    for y in ([2.5, -1.0], [2.0, -0.5]):
+        data = mp.Dataset(np.array(y))
+        with pytest.raises(ValueError, match="nonnegative"):
+            mp.map_estimate(mp.PoissonRate(), data, mp.gamma_prior(2, 1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            mp.mle(mp.PoissonRate(), data)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mp.quad_posterior_expectation(mp.PoissonRate(), data,
+                                          mp.gamma_prior(2, 1))
+    assert values == []
 
 
 def test_calibrate_poisson_closed_form():
@@ -162,7 +197,7 @@ def test_calibrate_boundary_point_rejected():
     data = mp.Dataset(np.array([2.0, 1.0]))
     with pytest.raises(BoundaryPoint):
         mp.calibrate_pm_from_map(mp.PoissonRate(), data, np.array([1e-3]),
-                                 bounds=(np.array([1e-3]), None))
+                                 lower=np.array([1e-3]))
 
 
 def test_calibrate_singular_information():

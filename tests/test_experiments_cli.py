@@ -440,3 +440,90 @@ def test_cli_library_error_is_reported_by_type(args, tmp_path):
     assert res.output.startswith("Error: InvalidHyperparameter: ")
     assert "Traceback" not in res.output
     assert not isinstance(res.exception, InvalidHyperparameter)
+
+
+def test_cli_estimate_mle_and_banknote_map(tmp_path):
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1\n3\n2\n0\n4\n")
+    runner = CliRunner()
+    res = runner.invoke(main, ["estimate", "--model", "poisson", "--method",
+                               "mle", "--data", str(data)])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert out["method"] == "MLE"
+    assert out["point"][0] == pytest.approx(2.0, abs=1e-9)
+    # headerless banknote rows: four features and a 0/1 label
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(20, 4))
+    y = (x[:, 0] + rng.normal(size=20) > 0).astype(int)
+    bank = tmp_path / "bank.csv"
+    bank.write_text("".join(f"{','.join(f'{v:.6f}' for v in row)},{label}\n"
+                            for row, label in zip(x, y)))
+    res = runner.invoke(main, ["estimate", "--model", "logistic", "--prior",
+                               "normal(0,10)", "--method", "map", "--data",
+                               str(bank), "--banknote"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert len(out["point"]) == 4 and out["diagnostics"]["converged"]
+
+
+def test_cli_build_model_from_data():
+    from matchprior.cli import build_model
+    import click
+    assert isinstance(build_model("gaussian-precision"),
+                      mp.GaussianKnownMeanPrecision)
+    rows = mp.Dataset(np.ones((3, 2)), np.ones((3, 4)))
+    assert build_model("poisson-seq", rows).dim == 2
+    assert build_model("cauchy", rows).dim == 2
+    assert build_model("logistic", rows).dim == 4
+    for name in ("poisson-seq", "cauchy"):
+        with pytest.raises(click.UsageError, match="needs a dimension"):
+            build_model(name)
+
+
+def test_cli_sample_pg_gibbs_and_rwmh_needs_model(tmp_path):
+    data = tmp_path / "xy.csv"
+    data.write_text("y,x1,x2\n1,0.5,1\n0,-0.5,1\n1,1.5,1\n0,-1,1\n1,0.2,1\n")
+    out = tmp_path / "draws.csv"
+    runner = CliRunner()
+    base = ["--prior", "normal(0,4)", "--data", str(data), "--chain-length",
+            "100", "--burnin", "20", "--seed", "3", "--out", str(out)]
+    res = runner.invoke(main, ["sample", "--sampler", "pg-gibbs", *base])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["posterior_mean"]) == 2
+    lines = out.read_text().splitlines()
+    assert lines[0] == "iter,theta1,theta2" and len(lines) == 101
+    res = runner.invoke(main, ["sample", "--sampler", "rwmh", *base])
+    assert res.exit_code == 2
+    assert "rwmh needs --model" in res.output
+    no_x = tmp_path / "y.csv"
+    no_x.write_text("y\n1\n0\n1\n")
+    base[base.index(str(data))] = str(no_x)
+    res = runner.invoke(main, ["sample", "--sampler", "pg-gibbs", *base])
+    assert res.exit_code == 2
+    assert "pg-gibbs needs covariates" in res.output
+
+
+@pytest.mark.parametrize("cfg, product", [
+    ({"experiment": "poisson-shrinkage", "n_grid": [1, 10], "dim": 5},
+     "records.csv"),
+    ({"experiment": "timing", "n_grid": [16], "reps": 3, "chain_length": 50,
+      "burnin": 50}, "timing.csv"),
+])
+def test_cli_run_shrinkage_and_timing(cfg, product, tmp_path):
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({**cfg, "out": str(tmp_path / "out")}))
+    res = CliRunner().invoke(main, ["run", str(cfile)])
+    assert res.exit_code == 0, res.output
+    assert res.output.strip() == str(tmp_path / "out")
+    assert (tmp_path / "out" / product).exists()
+
+
+def test_cli_run_unknown_experiment(tmp_path):
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({"experiment": "bogus",
+                                 "out": str(tmp_path / "out")}))
+    res = CliRunner().invoke(main, ["run", str(cfile)])
+    assert res.exit_code == 2
+    assert "unknown experiment 'bogus'" in res.output
+    assert not (tmp_path / "out").exists()

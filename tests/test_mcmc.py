@@ -19,6 +19,12 @@ def test_chain_config_validation():
         ChainConfig(length=10, burnin=-1)
     with pytest.raises(ValueError):
         ChainConfig(length=10, step_scale=0.0)
+    for bad in ({"length": 2.5}, {"length": 10, "burnin": 1.5},
+                {"length": 10, "step_scale": np.nan},
+                {"length": 10, "step_scale": np.inf}):
+        with pytest.raises(ValueError):
+            ChainConfig(**bad)
+    assert ChainConfig(length=np.int64(4), burnin=np.int64(0)).length == 4
     # batch means need two kept draws
     with pytest.raises(ValueError, match="keeps fewer than 2 draws"):
         ChainConfig(length=1)
@@ -326,6 +332,10 @@ def test_rwmh_target_low_level():
     with pytest.raises(ValueError):
         mp.rwmh_target(lambda th: -np.inf, np.zeros(1),
                        ChainConfig(length=10, seed=0))
+    with pytest.raises(ValueError, match="proposal"):
+        mp.rwmh(mp.PoissonRate(), mp.Dataset(np.array([1.0, 2.0])),
+                mp.gamma_prior(1.0, 1.0), ChainConfig(length=10, seed=0),
+                proposal="foo")
 
 
 def test_pg_gibbs_conjugacy_with_quadrature():

@@ -14,6 +14,10 @@ from matchprior.oracle import QuadratureSpec, conjugate_pm
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
+    # NaN passes a "<= 0" check, and inf gives a NaN error bound
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(abs_tol=bad)
 
 
 def test_conjugate_pm_closed_values():
@@ -25,6 +29,10 @@ def test_conjugate_pm_closed_values():
         == pytest.approx(1.0)
     with pytest.raises(InvalidHyperparameter):
         conjugate_pm("poisson-gamma", (0.0, 1.0), np.array([1.0]))
+    for family in ("poisson-gamma", "gaussianprecision-gamma"):
+        for hyper in ((np.nan, 1.0), (2.0, np.nan), (np.inf, 1.0)):
+            with pytest.raises(InvalidHyperparameter):
+                conjugate_pm(family, hyper, np.array([1.0]))
     with pytest.raises(ValueError):
         conjugate_pm("beta-binomial", (1.0, 1.0), np.array([1.0]))
     # komaki: a = beta + S = (5, 8), A = 13, mean (A - alpha) / n * a / A
@@ -37,7 +45,8 @@ def test_conjugate_pm_closed_values():
     for hyper, counts in [((0.0, 5.0), rows), ((3.0, 0.0), rows),
                           ((3.0, 5.0), np.empty((0, 2))),
                           ((3.0, 5.0), np.array([[1.0, -2.0]])),
-                          ((1.0, 9.0), rows)]:          # A = 9 <= alpha
+                          ((1.0, 9.0), rows),           # A = 9 <= alpha
+                          ((np.nan, 5.0), rows), ((3.0, np.nan), rows)]:
         with pytest.raises(InvalidHyperparameter):
             conjugate_pm("poisson-komaki", hyper, counts)
 

@@ -53,6 +53,19 @@ def test_hyperparameter_validation():
         mp.komaki_prior([3.0], 0.0)
     with pytest.raises(InvalidHyperparameter):
         mp.komaki_prior([3.0], 2.0, floor=-1e-3)
+    # NaN passes a "<= 0" check and gives NaN log densities
+    for make in (lambda: mp.normal_prior(0.0, np.nan),
+                 lambda: mp.normal_prior(np.nan, 1.0),
+                 lambda: mp.normal_prior(np.inf, 1.0),
+                 lambda: mp.normal_prior(0.0, np.inf),
+                 lambda: mp.gamma_prior(np.nan, 1.0),
+                 lambda: mp.gamma_prior(2.0, np.inf),
+                 lambda: mp.invgamma_prior(2.0, np.nan),
+                 lambda: mp.komaki_prior([3.0, np.nan], 2.0),
+                 lambda: mp.komaki_prior([3.0], np.nan),
+                 lambda: mp.komaki_prior([3.0], 2.0, floor=np.nan)):
+        with pytest.raises(InvalidHyperparameter):
+            make()
 
 
 def test_support_and_contains():
