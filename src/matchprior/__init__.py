@@ -17,12 +17,11 @@ from .geometry import (GeometryReport, alpha_connection,
                        alpha_parallel_log_grad, equiaffinity_residual,
                        fisher_matrix_grad, geometry_at, jeffreys_log_density,
                        jeffreys_log_grad, jeffreys_log_hess)
-from .priors import (MatchingPair, PriorSpec, coords_multiplied,
-                     eflat_map_partner, gamma_prior, invgamma_prior,
-                     jeffreys_power_partner, jeffreys_prior, komaki_prior,
-                     matching_pair_1d, matching_residual, mflat_map_partner,
-                     mflat_pm_partner, normal_prior, parse_prior,
-                     uniform_prior)
+from .priors import (MatchingPair, PriorSpec, eflat_map_partner, gamma_prior,
+                     invgamma_prior, jeffreys_power_partner, jeffreys_prior,
+                     komaki_prior, matching_pair_1d, matching_residual,
+                     mflat_map_partner, mflat_pm_partner, normal_prior,
+                     parse_prior, uniform_prior)
 from .estimators import (EstimateResult, LogPosterior, Statistic,
                          calibrate_pm_from_map,
                          coordinate_statistic, identity_statistics,

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (BoundaryPoint, BoundaryStuck, IndefiniteHessian,
-                     NotConverged)
+                     NonFiniteLogDensity, NotConverged)
 from .geometry import _invert_metric
 from .models import (Dataset, ModelSpec, central_difference, check_point,
                      third_derivative_tensor)
@@ -108,9 +108,9 @@ def _newton_direction(neg_hess, grad):
 
 
 def _maximize(post: LogPosterior, init, tol, max_iter, lower=None):
-    """Projected Newton ascent of post.value; lower is a scalar, a
-    per-coordinate array or None (unbounded).  IndefiniteHessian when the
-    line search along the (ridged) Newton direction finds no ascent."""
+    """Projected Newton ascent of post.value above lower (a scalar, a per-
+    coordinate array or None).  NonFiniteLogDensity at a start of no finite
+    value; IndefiniteHessian when the (ridged) Newton line search fails."""
     if not 0 < tol < np.inf:
         raise ValueError("tol must be a finite positive number")
     theta = np.asarray(init, dtype=float).copy()
@@ -122,6 +122,8 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None):
     lo_thr = lower + _BOUND_EPS * np.maximum(1.0, np.abs(np.nan_to_num(lower)))
     # one value per point: an accepted trial's f1 becomes the next f0
     f0 = post.value(theta)
+    if not np.isfinite(f0):
+        raise NonFiniteLogDensity(f"log posterior is {f0} at the start {theta}")
     # free coordinates and Cholesky factor of the last Newton direction
     last = None
     for it in range(1, max_iter + 1):
@@ -184,9 +186,7 @@ def mle(model: ModelSpec, data: Dataset, init=None, tol: float = 1e-8,
 
     The objective is the log-likelihood sum, so tol is scaled by n.
     """
-    if init is None:
-        init = model.default_init(data)
-    init = check_point(model, init)
+    init = check_point(model, model.default_init(data) if init is None else init)
     theta, diag = _maximize(LogPosterior(model, data, uniform_prior()), init,
                             tol * data.n, max_iter)
     return EstimateResult(theta, "MLE", diag)
@@ -200,8 +200,7 @@ def map_estimate(model: ModelSpec, data: Dataset, prior: PriorSpec, init=None,
     lower, a scalar or per-coordinate array, bounds the projected Newton
     search from below; it defaults to the prior's opt_lower.
     """
-    if init is None:
-        init = model.default_init(data)
+    init = check_point(model, model.default_init(data) if init is None else init)
     if lower is None:
         lower = prior.opt_lower
     try:

@@ -120,7 +120,7 @@ _RECORD_FIELDS = ["experiment", "n", "rep", "estimator", "estimate",
 
 
 def _write_outputs(config: ExperimentConfig, rows: list[dict],
-                   meta_extra: dict) -> Path:
+                   meta_extra: dict, unread: list[str]) -> Path:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = sorted(rows, key=lambda r: (int(r["n"]), int(r["rep"]),
@@ -144,11 +144,14 @@ def _write_outputs(config: ExperimentConfig, rows: list[dict],
             w.writerow([n, est, _fmt(arr.mean()),
                         _fmt(arr.std(ddof=1) if arr.size > 1 else 0.0),
                         arr.size])
-    return _write_meta(out, config, meta_extra)
+    return _write_meta(out, config, meta_extra, unread)
 
 
-def _write_meta(out: Path, config: ExperimentConfig, meta_extra: dict) -> Path:
-    meta = {"config": asdict(config), "git_hash": _git_hash(), **meta_extra}
+def _write_meta(out: Path, config: ExperimentConfig, meta_extra: dict,
+                unread: list[str]) -> Path:
+    # "unread": the config fields the harness never read, though config has them
+    meta = {"config": asdict(config), "git_hash": _git_hash(),
+            "unread": sorted(unread), **meta_extra}
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
     return out
@@ -247,8 +250,9 @@ def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
     reps = config.reps if scenario == 1 else 1
     rows = [row for n in config.n_grid for rep in range(reps)
             for row in _logistic_cell(scenario, n, rep, config)]
-    return _write_outputs(config, rows, {"scenario": scenario,
-                                         "reference": "pm-gibbs"})
+    return _write_outputs(config, rows,
+                          {"scenario": scenario, "reference": "pm-gibbs"},
+                          ["dim"] if scenario == 1 else ["dim", "reps"])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +292,8 @@ def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
     Compares the closed-form posterior means (conjugate_pm "poisson-komaki")
     under the shrinkage prior and under its matching-pair partner, beta - 1,
     against the bounded MAP under the shrinkage prior.  No chain runs, so
-    chain_length and burnin are not read and mc_se is blank.
+    chain_length and burnin are not read (meta.json lists them under
+    "unread") and mc_se is blank.
     config.extra["generator"] picks the counts: "synthetic" (default)
     alternates tiny and moderate rates in config.dim (default 100)
     coordinates; "csv" reads a (periods x d) count matrix from
@@ -297,6 +302,7 @@ def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
     if not config.n_grid:
         config.n_grid = (1, 10, 100, 1000)
     generator = config.extra.get("generator", "synthetic")
+    unread = ["burnin", "chain_length"]
     if generator == "synthetic":
         d = config.dim or 100
         lam = shrinkage_rates(d)
@@ -317,12 +323,13 @@ def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
             raise ValueError(f"n={config.n_grid[-1]} exceeds the "
                              f"{mat.shape[0]} available periods")
         cells = [(n, 0, mat[:n].sum(axis=0)) for n in config.n_grid]
+        unread += ["reps", "seed"]
     else:
         raise ValueError(f"unknown generator {generator!r}")
     rows = [row for n, rep, counts in cells
             for row in _shrinkage_cell(n, rep, counts)]
     return _write_outputs(config, rows, {"generator": generator, "dim": d,
-                                         "reference": "map-komaki"})
+                                         "reference": "map-komaki"}, unread)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +380,8 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
     return _write_outputs(config, rows,
                           {"dim": d, "n": n, "m_grid": list(m_grid),
                            "reference": f"rwmh-m{m_max}",
-                           "acceptance_rate": acceptance})
+                           "acceptance_rate": acceptance},
+                          ["burnin", "chain_length", "n_grid"])
 
 
 # ---------------------------------------------------------------------------
@@ -424,4 +432,5 @@ def run_timing(config: ExperimentConfig) -> Path:
         w = csv.writer(fh)
         w.writerow(["n", "method", "mean_seconds", "sd_seconds"])
         w.writerows(rows)
-    return _write_meta(out, config, {"target": target})
+    return _write_meta(out, config, {"target": target},
+                       ["dim"] if target == "logistic" else [])

@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (InvalidHyperparameter, MatchPriorError, TailNotDecaying,
-                     ToleranceNotMet)
+from .errors import (InvalidHyperparameter, MatchPriorError, NonFiniteInput,
+                     TailNotDecaying, ToleranceNotMet)
 # mle is unused here; it stays importable because bench/tracing.py rebinds it
 from .estimators import LogPosterior, Statistic, _maximize, mle
 from .models import Dataset, ModelSpec
@@ -330,6 +330,8 @@ def conjugate_pm(family: str, hyper, data):
     and on any negative count, before a column sum could hide it.
     """
     y = np.asarray(getattr(data, "responses", data), dtype=float)
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("data has non-finite entries")
     if family.startswith("poisson") and np.any(y < 0):
         raise InvalidHyperparameter("Poisson counts must be nonnegative")
     if family == "poisson-komaki":

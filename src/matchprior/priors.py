@@ -1,10 +1,10 @@
 """Prior catalog and matching-pair constructors.
 
 All densities are stored un-normalized (the theory is invariant to constants;
-several priors here are improper).  Matching partners are built by dividing a
-posterior-mean prior by the Jeffreys prior (e-flat coordinates) or its square
-(m-flat coordinates); a 1-D quadrature constructor covers the general
-one-dimensional case.
+several priors here are improper).  Every matching partner is one product:
+the posterior-mean prior times the Jeffreys prior to the power -1 (e-flat
+coordinates) or -2 (m-flat coordinates), or in the general 1-D case divided
+by exp of the integrated matching form.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ def jeffreys_prior(model: ModelSpec) -> PriorSpec:
                      lambda th: jeffreys_log_density(model, th),
                      lambda th: jeffreys_log_grad(model, th),
                      proper=False,
-                     support=list(model.support))
+                     support=list(model.support),
+                     log_hess=lambda th: jeffreys_log_hess(model, th))
 
 
 def komaki_prior(beta_vec, alpha_exp, floor=0.0) -> PriorSpec:
@@ -196,6 +197,21 @@ def _komaki_shape(counts, n, beta_vec, alpha_exp) -> np.ndarray:
 # matching-pair constructors
 
 
+def _product(base: PriorSpec, other: PriorSpec, power: float,
+             label: str) -> PriorSpec:
+    """base * other^power, improper, on base's support (other's when base has
+    none), with a closed-form log_hess exactly when both factors have one."""
+    log_hess = None if base.log_hess is None or other.log_hess is None else (
+        lambda th: base.log_hess(th) + power * other.log_hess(th))
+    return PriorSpec(
+        label,
+        lambda th: base.log_density(th) + power * other.log_density(th),
+        lambda th: base.log_grad(th) + power * other.log_grad(th),
+        proper=False,
+        support=base.support if base.support is not None else other.support,
+        log_hess=log_hess)
+
+
 def jeffreys_power_partner(prior: PriorSpec, model: ModelSpec,
                            power: int) -> PriorSpec:
     """prior * pi_J^power, the matching partner in flat coordinates.
@@ -207,23 +223,12 @@ def jeffreys_power_partner(prior: PriorSpec, model: ModelSpec,
     if abs(power) not in (1, 2):
         raise ValueError(f"Jeffreys power must be 1 or 2 in size, got {power}")
     # exact where the coordinates are e-flat (alpha 1) or m-flat (alpha -1)
-    alpha = 1.0 if abs(power) == 1 else -1.0
+    alpha, name = (1.0, "jeffreys") if abs(power) == 1 else (-1.0, "jeffreys2")
     if model.alpha != alpha:
         raise FamilyMismatch(f"{model.name} has alpha = {model.alpha}, "
                              f"not {alpha:g}, in these coordinates")
-    k = float(power)
-    name = "jeffreys" if abs(power) == 1 else "jeffreys2"
-    log_hess = None
-    if prior.log_hess is not None:
-        def log_hess(th):
-            return prior.log_hess(th) + k * jeffreys_log_hess(model, th)
-    return PriorSpec(
-        prior.label + ("/" if power < 0 else "*") + name,
-        lambda th: prior.log_density(th) + k * jeffreys_log_density(model, th),
-        lambda th: prior.log_grad(th) + k * jeffreys_log_grad(model, th),
-        proper=False,
-        support=prior.support if prior.support is not None else list(model.support),
-        log_hess=log_hess)
+    return _product(prior, jeffreys_prior(model), float(power),
+                    prior.label + ("/" if power < 0 else "*") + name)
 
 
 def eflat_map_partner(pm: PriorSpec, model: ModelSpec) -> PriorSpec:
@@ -239,16 +244,6 @@ def mflat_map_partner(pm: PriorSpec, model: ModelSpec) -> PriorSpec:
 def mflat_pm_partner(map_prior: PriorSpec, model: ModelSpec) -> PriorSpec:
     """Inverse direction of mflat_map_partner: the PM prior for a given MAP prior."""
     return jeffreys_power_partner(map_prior, model, 2)
-
-
-def coords_multiplied(prior: PriorSpec) -> PriorSpec:
-    """Multiply a prior by the product of the coordinates (lambda * pi)."""
-    return PriorSpec(
-        prior.label + "*coords",
-        lambda th: prior.log_density(th) + float(np.sum(np.log(np.atleast_1d(th)))),
-        lambda th: prior.log_grad(th) + 1.0 / np.atleast_1d(th),
-        proper=False,
-        support=prior.support if prior.support is not None else [(0.0, np.inf)])
 
 
 def matching_residual(pair: MatchingPair, model: ModelSpec, theta,
@@ -287,12 +282,10 @@ def matching_pair_1d(pm: PriorSpec, model: ModelSpec, theta0: float) -> Matching
         return quad(lambda s: _target_form(model, np.array([s]))[0], theta0, t,
                     epsabs=1e-10)[0]
 
-    partner = PriorSpec(
-        pm.label + "/ode",
-        lambda th: pm.log_density(th) - log_ratio(th),
-        lambda th: pm.log_grad(th) - _target_form(model, np.atleast_1d(th)),
-        proper=False,
-        support=pm.support if pm.support is not None else list(model.support))
+    ode_factor = PriorSpec("ode", log_ratio,
+                           lambda th: _target_form(model, np.atleast_1d(th)),
+                           proper=False, support=list(model.support))
+    partner = _product(pm, ode_factor, -1.0, pm.label + "/ode")
     return MatchingPair(pm, partner, "alpha-affine(1d-quadrature)")
 
 
@@ -304,19 +297,14 @@ def parse_prior(text: str, model: ModelSpec | None = None) -> PriorSpec:
     """Resolve a config-file prior name.
 
     Grammar: normal(mean,var) | gamma(a,b) | invgamma(a,b) | jeffreys |
-    uniform | komaki(beta,alpha,floor) with derived forms <name>/jeffreys,
-    <name>/jeffreys2 and <name>*coords.
+    uniform | komaki(beta,alpha,floor) with the derived partner forms
+    <name>/jeffreys (prior * pi_J^-1) and <name>/jeffreys2 (prior * pi_J^-2).
     """
     text = text.strip()
-    if text.endswith("/jeffreys2"):
-        base = parse_prior(text[:-len("/jeffreys2")], model)
-        return mflat_map_partner(base, _require_model(model, text))
-    if text.endswith("/jeffreys"):
-        base = parse_prior(text[:-len("/jeffreys")], model)
-        return eflat_map_partner(base, _require_model(model, text))
-    if text.endswith("*coords"):
-        base = parse_prior(text[:-len("*coords")], model)
-        return coords_multiplied(base)
+    for suffix, power in (("/jeffreys2", -2), ("/jeffreys", -1)):
+        if text.endswith(suffix):
+            base = parse_prior(text[:-len(suffix)], model)
+            return jeffreys_power_partner(base, _require_model(model, text), power)
     if text == "uniform":
         return uniform_prior()
     if text == "jeffreys":

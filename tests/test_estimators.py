@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import matchprior as mp
-from matchprior.errors import (BoundaryPoint, BoundaryStuck, NotConverged,
+from matchprior.errors import (BoundaryPoint, BoundaryStuck,
+                               NonFiniteLogDensity, NotConverged,
                                SingularFisher, SupportMismatch)
 from matchprior.estimators import (LogPosterior, Statistic,
                                    _newton_direction, coordinate_statistic)
@@ -160,6 +163,32 @@ def test_negative_poisson_counts_raise_before_any_value(monkeypatch):
     assert values == []
 
 
+def test_map_start_outside_the_posterior_raises_at_once(monkeypatch):
+    values = []
+    value = LogPosterior.value
+    monkeypatch.setattr(LogPosterior, "value",
+                        lambda self, th: values.append(value(self, th))
+                        or values[-1])
+    model, gamma = mp.PoissonRate(), mp.gamma_prior(2, 1)
+    # a 2-vector default start for a 1-D model, as mle rejects it
+    two = mp.Dataset(np.ones((3, 2)))
+    for fit in (lambda: mp.mle(model, two),
+                lambda: mp.map_estimate(model, two, gamma)):
+        with pytest.raises(ValueError, match="expected parameter of length 1"):
+            fit()
+    data = mp.Dataset(np.array([2.0, 2.0, 2.0]))
+    for init in ([np.nan], [1.0, 2.0], [-1.0]):
+        with pytest.raises(ValueError):
+            mp.map_estimate(model, data, gamma, init=init)
+    assert values == []
+    # the start y-bar = 2 lies outside the prior's support (5, 10)
+    box = mp.PriorSpec("box", lambda th: 0.0, lambda th: np.zeros(1),
+                       proper=False, support=[(5.0, 10.0)])
+    with pytest.raises(NonFiniteLogDensity):
+        mp.map_estimate(model, data, box)
+    assert values == [-np.inf]
+
+
 def test_calibrate_poisson_closed_form():
     # correction for a Poisson rate is ybar / (n * lambda_hat)
     y = np.array([2.0, 1.0, 3.0, 2.0])
@@ -262,6 +291,10 @@ def test_laplace_accepts_custom_statistic():
     # exact posterior is Gamma(101, 51): E[lam^2] = 101*102/51^2
     assert abs(vals[0] - 101 * 102 / 51**2) < 2e-3
     assert abs(vals[1] - 101 / 51) < 1e-3
+    # one Statistic, not in a sequence
+    one = mp.laplace_posterior_expectation(model, data, mp.gamma_prior(1.0, 1.0),
+                                           sq, mle_pt)
+    assert one.shape == (1,) and one[0] == vals[0]
 
 
 def test_statistic_matching_residual_square_statistic():
@@ -378,10 +411,17 @@ def test_log_posterior_derivatives_match_central_differences():
 def test_log_posterior_hess_fallback_without_closed_form_prior_hess():
     model, data = _logistic_case()
     pois = mp.PoissonSequence(2)
-    cases = [(model, data, mp.jeffreys_prior(model), np.array([0.4, -0.2])),
+    # gamma * prod(lambda), the m-flat partner, with its log_hess taken away
+    times_coords = dataclasses.replace(
+        mp.mflat_map_partner(mp.gamma_prior(2.0, 1.0), pois), log_hess=None)
+    cases = [(model, data,
+              dataclasses.replace(mp.jeffreys_prior(model), log_hess=None),
+              np.array([0.4, -0.2])),
              (pois, mp.Dataset(np.array([[1.0, 3.0], [2.0, 0.0]])),
-              mp.coords_multiplied(mp.gamma_prior(2.0, 1.0)),
-              np.array([0.9, 2.1]))]
+              times_coords, np.array([0.9, 2.1])),
+             (mp.PoissonRate(), mp.Dataset(np.array([1.0, 4.0, 2.0])),
+              mp.matching_pair_1d(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(),
+                                  1.0).map, np.array([1.7]))]
     for model, data, prior, th in cases:
         assert prior.log_hess is None
         post = mp.LogPosterior(model, data, prior)

@@ -109,6 +109,7 @@ def test_logistic_run_outputs_and_determinism(tmp_path):
     meta = json.loads((out1 / "meta.json").read_text())
     assert meta["reference"] == "pm-gibbs"
     assert meta["config"]["seed"] == 5
+    assert meta["unread"] == ["dim"]
     # triangle inequality between L2 and per-coordinate gaps
     for r in rows:
         coords = np.array([float(v) for v in r["gap_coords"].split(";")])
@@ -124,6 +125,8 @@ def test_scenario2_runs_single_rep(tmp_path):
     rows = _read_records(out)
     assert {r["rep"] for r in rows} == {"0"}  # deterministic data, one rep
     assert len(rows) == 3
+    assert json.loads((out / "meta.json").read_text())["unread"] == [
+        "dim", "reps"]
 
 
 def test_shrinkage_run_and_gap_ordering(tmp_path, monkeypatch):
@@ -146,6 +149,8 @@ def test_shrinkage_run_and_gap_ordering(tmp_path, monkeypatch):
         "error:InvalidHyperparameter")
     assert by[("1", "pm-komaki")]["status"] == "ok"
     assert by[("1", "pm-komaki")]["mc_se"] == ""
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["unread"] == ["burnin", "chain_length"]
     match = float(by[("10", "pm-matching")]["gap_l2"])
     komaki = float(by[("10", "pm-komaki")]["gap_l2"])
     assert match < komaki
@@ -165,6 +170,14 @@ def test_shrinkage_csv_generator(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["dim"] == 3
     assert meta["config"]["extra"]["generator"] == "csv"
+    # the csv counts leave the chain fields, reps and seed unread
+    assert meta["unread"] == ["burnin", "chain_length", "reps", "seed"]
+    for extra, match in (({"generator": "csv"}, "needs extra"),
+                         ({"generator": "bogus"}, "unknown generator")):
+        with pytest.raises(ValueError, match=match):
+            mp.run_poisson_shrinkage(ExperimentConfig(
+                experiment="poisson-shrinkage", out=str(tmp_path / "o0"),
+                n_grid=(1,), extra=extra))
     with pytest.raises(ValueError, match="dim 5 conflicts with the 3 columns"):
         mp.run_poisson_shrinkage(ExperimentConfig(
             experiment="poisson-shrinkage", out=str(tmp_path / "o5"),
@@ -198,6 +211,8 @@ def test_cauchy_run_trajectory(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["reference"] == "rwmh-m2000"
     assert len(meta["acceptance_rate"]) == 2
+    # the sweep takes n, m_grid and mcmc_burnin from extra instead
+    assert meta["unread"] == ["burnin", "chain_length", "n_grid"]
     assert all(0.0 < a < 1.0 for a in meta["acceptance_rate"])
 
 
@@ -247,7 +262,9 @@ def test_timing_run(tmp_path):
         assert {r["n"] for r in rows} == {"8", "16"}
         assert {r["method"] for r in rows} == methods
         assert all(float(r["sd_seconds"]) >= 0 for r in rows)
-        assert json.loads((out / "meta.json").read_text())["target"] == target
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["target"] == target
+        assert meta["unread"] == (["dim"] if target == "logistic" else [])
     with pytest.raises(ValueError):
         mp.run_timing(ExperimentConfig(experiment="timing",
                                        out=str(tmp_path), reps=2))

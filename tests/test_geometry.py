@@ -160,6 +160,9 @@ def test_singular_fisher_raises():
     model = mp.LogisticGLM(design)
     with pytest.raises(SingularFisher):
         geometry_at(model, np.zeros(2))
+    # slogdet's sign is 0 for the exactly singular metric
+    with pytest.raises(SingularFisher):
+        jeffreys_log_density(model, np.zeros(2))
 
 
 def test_invert_metric_spd_only():

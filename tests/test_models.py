@@ -99,6 +99,12 @@ def test_loglik_closed_values():
     logi = mp.LogisticGLM(design)
     dl = mp.Dataset(np.array([1.0]), design)
     assert logi.avg_loglik(dl, np.zeros(2)) == pytest.approx(np.log(0.5))
+    # without covariates the stored design is used, if its rows match
+    theta = np.array([0.4, -0.2])
+    assert logi.avg_loglik(mp.Dataset(np.array([1.0])), theta) \
+        == logi.avg_loglik(dl, theta)
+    with pytest.raises(ValueError, match="must match the stored design"):
+        logi.avg_loglik(mp.Dataset(np.array([1.0, 0.0])), theta)
 
 
 def test_third_closed_values():

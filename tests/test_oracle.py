@@ -5,7 +5,7 @@ import matchprior as mp
 from matchprior import oracle
 from matchprior.errors import (IndefiniteHessian, InvalidHyperparameter,
                                TailNotDecaying, ToleranceNotMet)
-from matchprior.estimators import LogPosterior
+from matchprior.estimators import LogPosterior, Statistic
 from matchprior.experiments import (derived_seed, logistic_design,
                                     logistic_scenario_data)
 from matchprior.oracle import QuadratureSpec, conjugate_pm
@@ -49,6 +49,12 @@ def test_conjugate_pm_closed_values():
                           ((np.nan, 5.0), rows), ((3.0, np.nan), rows)]:
         with pytest.raises(InvalidHyperparameter):
             conjugate_pm("poisson-komaki", hyper, counts)
+    # a plain array is checked as a Dataset would check it
+    for family, hyper, y in (("poisson-gamma", (2, 1), [np.nan, 1.0]),
+                             ("gaussianprecision-gamma", (2, 1), [np.inf, 1.0]),
+                             ("poisson-komaki", (3, 5), [[np.nan, 1.0]])):
+        with pytest.raises(mp.NonFiniteInput):
+            conjugate_pm(family, hyper, np.array(y))
 
 
 def test_quadrature_poisson_gamma_exact():
@@ -99,6 +105,16 @@ def test_quadrature_custom_statistic_and_d2():
         f=lambda th: float(th[0] ** 2))
     shape, rate = a + 3.0, b + 2.0
     assert abs(v[0] - shape * (shape + 1) / rate**2) < 1e-8
+    # a Statistic alone, and a sequence mixing a Statistic and a callable
+    sq = Statistic(lambda th: float(th[0] ** 2), lambda th: 2.0 * th,
+                   lambda th: np.array([[2.0]]))
+    one, _ = mp.quad_posterior_expectation(mp.PoissonRate(), data,
+                                           mp.gamma_prior(a, b), f=sq)
+    mixed, _ = mp.quad_posterior_expectation(
+        mp.PoissonRate(), data, mp.gamma_prior(a, b),
+        f=[mp.coordinate_statistic(0, 1), lambda th: float(th[0] ** 2)])
+    assert one[0] == v[0] and mixed[1] == v[0]
+    assert abs(mixed[0] - shape / rate) < 1e-8
 
     d2 = mp.Dataset(np.array([[2.0, 0.0], [1.0, 1.0]]))
     v2, _ = mp.quad_posterior_expectation(

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import matchprior as mp
 from matchprior.errors import (FamilyMismatch, InvalidHyperparameter,
                                SupportMismatch)
-from matchprior.geometry import jeffreys_log_grad
+from matchprior.geometry import jeffreys_log_grad, jeffreys_log_hess
 from matchprior.priors import _target_form, parse_prior
 
 
@@ -108,13 +110,20 @@ def test_mflat_partners_are_inverses():
 
 def test_mflat_partner_poisson_is_coordinate_multiplication():
     # Jeffreys^2 for a Poisson rate is 1/lambda, so dividing by it multiplies
-    # the density by lambda
-    model = mp.PoissonRate()
+    # the density by lambda; for a Gaussian precision theta Jeffreys is
+    # 1/theta, so the e-flat partner multiplies it by theta
     pm = mp.gamma_prior(2.0, 3.0)
-    partner = mp.mflat_map_partner(pm, model)
-    mult = mp.coords_multiplied(pm)
-    th = np.array([1.7])
-    assert np.allclose(partner.log_grad(th), mult.log_grad(th), atol=1e-10)
+    cases = [(mp.mflat_map_partner(pm, mp.PoissonRate()), np.array([1.7])),
+             (mp.mflat_map_partner(pm, mp.PoissonSequence(3)),
+              np.array([0.4, 1.7, 3.2])),
+             (mp.eflat_map_partner(pm, mp.GaussianKnownMeanPrecision()),
+              np.array([1.7]))]
+    for partner, th in cases:
+        assert np.allclose(partner.log_grad(th), pm.log_grad(th) + 1.0 / th,
+                           atol=1e-10)
+        assert np.allclose(partner.log_density(th) - partner.log_density(2 * th),
+                           pm.log_density(th) - pm.log_density(2 * th)
+                           - th.size * np.log(2.0), atol=1e-10)
 
 
 def test_matching_residual_zero_for_constructed_pairs():
@@ -210,7 +219,14 @@ def test_parse_prior_grammar():
     assert parse_prior("gamma(2,3)/jeffreys2", model).label.endswith("/jeffreys2")
     gm = mp.GaussianKnownMeanPrecision()
     assert parse_prior("gamma(2,3)/jeffreys", gm).label.endswith("/jeffreys")
-    assert parse_prior("gamma(2,3)*coords", model).label.endswith("*coords")
+    # "*coords" is gone: on this model it is the m-flat partner /jeffreys2
+    times_coords = parse_prior("gamma(2,3)/jeffreys2", model)
+    th = np.array([0.9, 2.1])
+    assert np.allclose(times_coords.log_grad(th),
+                       mp.gamma_prior(2, 3).log_grad(th) + 1.0 / th, atol=1e-12)
+    assert parse_prior("invgamma(2,3)").label == "invgamma(2,3)"
+    with pytest.raises(ValueError):
+        parse_prior("gamma(2,3)*coords", model)
     with pytest.raises(ValueError):
         parse_prior("nonsense(1)")
     with pytest.raises(ValueError):
@@ -251,9 +267,17 @@ def test_jeffreys_power_partner_aliases_and_closed_form_hessian():
         fd = _fd_hess(partner, th)
         assert np.allclose(partner.log_hess(th), fd, rtol=1e-6, atol=1e-6), \
             partner.label
+    # the Jeffreys prior itself (Firth's penalty) has a closed-form Hessian
+    for model, th in ((mp.LogisticGLM(design), np.array([0.3, -0.7])),
+                      (mp.PoissonSequence(2), np.array([0.9, 2.1]))):
+        firth = mp.jeffreys_prior(model)
+        assert np.array_equal(firth.log_hess(th), jeffreys_log_hess(model, th))
+        assert np.allclose(firth.log_hess(th), _fd_hess(firth, th), rtol=1e-6,
+                           atol=1e-6)
     # a prior without a closed-form Hessian gives a partner without one
-    flat = mp.eflat_map_partner(mp.coords_multiplied(mp.gamma_prior(2.0, 1.0)),
-                                mp.GaussianKnownMeanPrecision())
+    flat = mp.eflat_map_partner(
+        dataclasses.replace(mp.gamma_prior(2.0, 1.0), log_hess=None),
+        mp.GaussianKnownMeanPrecision())
     assert flat.log_hess is None
     with pytest.raises(ValueError):
         mp.jeffreys_power_partner(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(), 3)
