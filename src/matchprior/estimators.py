@@ -91,20 +91,52 @@ class LogPosterior:
 # projected Newton ascent above an optional lower bound
 
 
+_RIDGE_RUNGS = 40
+
+
 def _newton_direction(neg_hess, grad):
-    """Solve neg_hess @ s = grad with ridge escalation until PD; returns s,
-    whether a ridge was needed, and the Cholesky factor that solved it."""
-    d = grad.shape[0]
-    scale = max(np.max(np.abs(neg_hess)), 1.0)
-    ridge = 0.0
-    for _ in range(40):
-        chol, info = dpotrf(neg_hess + ridge * np.eye(d), lower=1)
+    """Solve (neg_hess + r I) s = grad at the first rung of the ridge ladder
+    r = 0, r0, 2 r0, 4 r0, ... (r0 = 1e-10 max(max|neg_hess|, 1), 40 rungs)
+    that factors and gives an ascent direction; returns s, whether r > 0,
+    and the Cholesky factor that solved it.
+
+    A ridge that makes the matrix positive definite makes every larger one
+    so too, so galloping up the rungs (1, 2, 4, ...) and then bisecting
+    finds the rung a climb one at a time would, in O(log) factorizations.
+    """
+    # neg_hess + r I entry by entry: r * 0 adds +0.0 off the diagonal
+    shifted = np.add(neg_hess, 0.0, order="F")
+    diag = np.diagonal(neg_hess)
+    r0 = 1e-10 * max(np.max(np.abs(neg_hess)), 1.0)
+
+    def attempt(rung):
+        a = shifted.copy(order="F")
+        if rung:
+            np.fill_diagonal(a, diag + r0 * 2.0 ** (rung - 1))
+        chol, info = dpotrf(a, lower=1, overwrite_a=1)
         if info == 0:
             s = dpotrs(chol, grad, lower=1)[0]
             if np.dot(s, grad) > 0:
-                return s, ridge > 0, chol
-        ridge = max(2.0 * ridge, 1e-10 * scale)
-    raise IndefiniteHessian("could not regularize the Hessian into an ascent direction")
+                return s, rung > 0, chol
+        return None
+
+    # gallop to a working rung, then bisect down to the rung above the
+    # highest failure; a non-finite r0 comes from a non-finite neg_hess,
+    # which no ridge mends
+    failed, rung = -1, 0
+    while (found := attempt(rung)) is None:
+        if rung == _RIDGE_RUNGS - 1 or not np.isfinite(r0):
+            raise IndefiniteHessian("could not regularize the Hessian into an "
+                                    "ascent direction")
+        failed, rung = rung, min(max(2 * rung, 1), _RIDGE_RUNGS - 1)
+    while rung - failed > 1:
+        mid = (failed + rung) // 2
+        trial = attempt(mid)
+        if trial is None:
+            failed = mid
+        else:
+            rung, found = mid, trial
+    return found
 
 
 def _maximize(post: LogPosterior, init, tol, max_iter, lower=None):
@@ -146,9 +178,10 @@ def _maximize(post: LogPosterior, init, tol, max_iter, lower=None):
             return theta, {"iterations": it - 1, "final_grad_norm": gnorm,
                            "converged": True, "bound_active": bool(np.any(pinned)),
                            "ridge_used": used_ridge}
-        h_full = post.hess(theta)
-        step_free, ridged, chol = _newton_direction(-h_full[np.ix_(idx, idx)],
-                                                     g[idx])
+        h = post.hess(theta)
+        if idx.size < d:  # the free block: two takes cost half of one np.ix_
+            h = h[idx][:, idx]
+        step_free, ridged, chol = _newton_direction(-h, g[idx])
         last = (idx, chol)
         used_ridge = used_ridge or ridged
         step = np.zeros(d)

@@ -120,7 +120,8 @@ _RECORD_FIELDS = ["experiment", "n", "rep", "estimator", "estimate",
 
 
 def _write_outputs(config: ExperimentConfig, rows: list[dict],
-                   meta_extra: dict, unread: list[str]) -> Path:
+                   meta_extra: dict, unread: list[str],
+                   extra_read=()) -> Path:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = sorted(rows, key=lambda r: (int(r["n"]), int(r["rep"]),
@@ -144,12 +145,15 @@ def _write_outputs(config: ExperimentConfig, rows: list[dict],
             w.writerow([n, est, _fmt(arr.mean()),
                         _fmt(arr.std(ddof=1) if arr.size > 1 else 0.0),
                         arr.size])
-    return _write_meta(out, config, meta_extra, unread)
+    return _write_meta(out, config, meta_extra, unread, extra_read)
 
 
 def _write_meta(out: Path, config: ExperimentConfig, meta_extra: dict,
-                unread: list[str]) -> Path:
-    # "unread": the config fields the harness never read, though config has them
+                unread: list[str], extra_read=()) -> Path:
+    # "unread": the config fields the harness never read, though config has
+    # them, and as "extra.<key>" each key of extra outside extra_read
+    unread = [*unread, *(f"extra.{k}" for k in config.extra
+                         if k not in extra_read)]
     meta = {"config": asdict(config), "git_hash": _git_hash(),
             "unread": sorted(unread), **meta_extra}
     with open(out / "meta.json", "w") as fh:
@@ -329,7 +333,9 @@ def run_poisson_shrinkage(config: ExperimentConfig) -> Path:
     rows = [row for n, rep, counts in cells
             for row in _shrinkage_cell(n, rep, counts)]
     return _write_outputs(config, rows, {"generator": generator, "dim": d,
-                                         "reference": "map-komaki"}, unread)
+                                         "reference": "map-komaki"}, unread,
+                          ("generator", "counts_csv") if generator == "csv"
+                          else ("generator",))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +387,8 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
                           {"dim": d, "n": n, "m_grid": list(m_grid),
                            "reference": f"rwmh-m{m_max}",
                            "acceptance_rate": acceptance},
-                          ["burnin", "chain_length", "n_grid"])
+                          ["burnin", "chain_length", "n_grid"],
+                          ("n", "m_grid", "mcmc_burnin"))
 
 
 # ---------------------------------------------------------------------------
@@ -433,4 +440,4 @@ def run_timing(config: ExperimentConfig) -> Path:
         w.writerow(["n", "method", "mean_seconds", "sd_seconds"])
         w.writerows(rows)
     return _write_meta(out, config, {"target": target},
-                       ["dim"] if target == "logistic" else [])
+                       ["dim"] if target == "logistic" else [], ("target",))

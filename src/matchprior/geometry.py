@@ -8,6 +8,7 @@ alpha-parallel priors at a parameter point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,18 +117,84 @@ def alpha_connection(report: GeometryReport, alpha: float) -> np.ndarray:
 def fisher_matrix_grad(model: ModelSpec, theta) -> np.ndarray:
     """d g_bc / d theta_a: Gamma^e_abc + Gamma^m_acb = alpha T_abc for a model
     with an alpha, else central differences of fisher."""
-    theta = check_point(model, theta)
+    return _fisher_grad(model, check_point(model, theta))
+
+
+def _fisher_grad(model, theta):
     if model.alpha is not None:
         return model.alpha * model.skewness(theta)
     return central_difference(model.fisher, theta, 1e-5, model.in_support)
 
 
+class _Jeffreys:
+    """log pi_J and its derivatives at one checked point.  g, g^{-1} and
+    dg = d_a g_bc are each formed once, on first use, so every quantity
+    raises what it would raise alone; fisher_hess is formed per log_hess."""
+
+    def __init__(self, model: ModelSpec, theta):
+        self.model = model
+        # a copy: the caller may reuse its array for the next point
+        self.theta = check_point(model, theta).copy()
+
+    @cached_property
+    def g(self):
+        return self.model.fisher(self.theta)
+
+    @cached_property
+    def g_inv(self):
+        return _invert_metric(self.g)
+
+    @cached_property
+    def dg(self):
+        return _fisher_grad(self.model, self.theta)
+
+    def log_density(self) -> float:
+        sign, logdet = np.linalg.slogdet(self.g)
+        if sign <= 0:
+            raise SingularFisher("Fisher matrix not positive definite")
+        return 0.5 * logdet
+
+    def log_grad(self) -> np.ndarray:
+        return 0.5 * np.einsum("bc,abc->a", self.g_inv, self.dg)
+
+    def log_hess(self) -> np.ndarray:
+        d2g = self.model.fisher_hess(self.theta)
+        if d2g is None:
+            out = central_difference(
+                lambda th: _Jeffreys(self.model, th).log_grad(), self.theta,
+                1e-6, self.model.in_support)
+            return 0.5 * (out + out.T)
+        g_inv = self.g_inv
+        a = g_inv @ self.dg  # a[k] = g^{-1} d_k g
+        hess = 0.5 * (np.tensordot(d2g, g_inv, axes=([2, 3], [0, 1]))
+                      - np.einsum("aij,bji->ab", a, a))
+        return 0.5 * (hess + hess.T)
+
+
+class _JeffreysMemo:
+    """The _Jeffreys record of the last point asked for, keyed on the point's
+    shape and bytes, so the value, gradient and Hessian at one point share
+    one g, g^{-1} and dg.  One (key, record) pair is swapped in whole, so
+    threads sharing the memo never see a record under another point's key."""
+
+    def __init__(self, model: ModelSpec):
+        self.model = model
+        self._last = None
+
+    def __call__(self, theta) -> _Jeffreys:
+        arr = np.asarray(theta, dtype=float)
+        key = (arr.shape, arr.tobytes())
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        record = _Jeffreys(self.model, arr)
+        self._last = (key, record)
+        return record
+
+
 def jeffreys_log_grad(model: ModelSpec, theta) -> np.ndarray:
     """Gradient of log pi_J: (1/2) tr(g^{-1} d_a g) per coordinate."""
-    theta = check_point(model, theta)
-    g_inv = _invert_metric(model.fisher(theta))
-    dg = fisher_matrix_grad(model, theta)
-    return 0.5 * np.einsum("bc,abc->a", g_inv, dg)
+    return _Jeffreys(model, theta).log_grad()
 
 
 def jeffreys_log_hess(model: ModelSpec, theta) -> np.ndarray:
@@ -137,26 +204,12 @@ def jeffreys_log_hess(model: ModelSpec, theta) -> np.ndarray:
     when the model provides fisher_hess, else central differences of
     jeffreys_log_grad.
     """
-    theta = check_point(model, theta)
-    d2g = model.fisher_hess(theta)
-    if d2g is None:
-        out = central_difference(lambda th: jeffreys_log_grad(model, th), theta,
-                                 1e-6, model.in_support)
-        return 0.5 * (out + out.T)
-    g_inv = _invert_metric(model.fisher(theta))
-    a = g_inv @ fisher_matrix_grad(model, theta)  # a[k] = g^{-1} d_k g
-    hess = 0.5 * (np.tensordot(d2g, g_inv, axes=([2, 3], [0, 1]))
-                  - np.einsum("aij,bji->ab", a, a))
-    return 0.5 * (hess + hess.T)
+    return _Jeffreys(model, theta).log_hess()
 
 
 def jeffreys_log_density(model: ModelSpec, theta) -> float:
     """log pi_J = (1/2) log det g (up to an additive constant)."""
-    theta = check_point(model, theta)
-    sign, logdet = np.linalg.slogdet(model.fisher(theta))
-    if sign <= 0:
-        raise SingularFisher("Fisher matrix not positive definite")
-    return 0.5 * logdet
+    return _Jeffreys(model, theta).log_density()
 
 
 def alpha_parallel_log_grad(report: GeometryReport, alpha: float) -> np.ndarray:

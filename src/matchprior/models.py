@@ -3,8 +3,12 @@
 Each model exposes the dataset-average log-likelihood (1/n) sum_t log p(y_t)
 together with its first, second, and third parameter derivatives, the
 per-observation scores and Hessians that Monte Carlo geometry averages, and
-the Fisher information of one observation.  All evaluators are pure
-functions of (data, theta) and safe to share across threads.
+the Fisher information of one observation.  All evaluators are functions of
+(data, theta) and safe to share across threads.  LogisticGLM keeps a one-
+point memo of eta = X theta for the last theta, keyed on the design array
+itself and theta's bytes and swapped in whole, so a thread never reads
+another point's entry.  Its design is read as Dataset reads its arrays, a
+read-only view, so the model cannot change an array the memo holds.
 """
 
 from __future__ import annotations
@@ -65,11 +69,8 @@ class Dataset:
             if getattr(self, name) is not None:
                 arr = np.asarray(getattr(self, name), dtype=float)
                 # a flat vector is n scalar observations, not one n-vector observation
-                arr = (arr[:, None] if arr.ndim == 1 else np.atleast_2d(arr)).view()
-                if not np.isfinite(arr).all():
-                    raise NonFiniteInput(f"{name} has non-finite entries")
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+                arr = arr[:, None] if arr.ndim == 1 else np.atleast_2d(arr)
+                object.__setattr__(self, name, _read_only(arr, name))
         if self.responses.shape[0] < 1:
             raise ValueError("dataset needs at least one observation")
         if self.covariates is not None and self.covariates.shape[0] != self.n:
@@ -94,6 +95,16 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.responses.shape[0]
+
+
+def _read_only(arr, name) -> np.ndarray:
+    """A read-only view of arr (the caller's array stays writable);
+    NonFiniteInput on a NaN or infinite entry."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} has non-finite entries")
+    arr = arr.view()
+    arr.flags.writeable = False
+    return arr
 
 
 def check_point(model, theta) -> np.ndarray:
@@ -324,16 +335,43 @@ class PoissonRate(PoissonSequence):
         super().__init__(dim=1)
 
 
+class _LogitPoint:
+    """eta = x theta for one design x and point theta, and what the logistic
+    evaluators derive from it, each formed on first use."""
+
+    def __init__(self, x, theta):
+        self.eta = x @ theta
+
+    @cached_property
+    def p(self):
+        return sigmoid(self.eta)
+
+    @cached_property
+    def tail(self):
+        """q = min(p, 1 - p) and w = p (1 - p) = q (1 - q), from e^-|eta|: the
+        tanh sigmoid rounds p to 0 or 1 from |eta| ~ 37."""
+        e = np.exp(-np.abs(self.eta))
+        q = e / (1.0 + e)
+        return q, q * (1.0 - q)
+
+
 class LogisticGLM(ModelSpec):
-    """Bernoulli regression with the canonical logit link and fixed design."""
+    """Bernoulli regression with the canonical logit link and fixed design.
+
+    Every evaluator at (x, theta), x the stored design or a dataset's
+    covariates, reads one _LogitPoint, kept for the last theta, so a MAP
+    search forms eta once per point and design.
+    """
 
     alpha = 1.0
 
     def __init__(self, design):
-        self.design = np.atleast_2d(np.asarray(design, dtype=float))
+        self.design = _read_only(np.atleast_2d(np.asarray(design, dtype=float)),
+                                 "design")
         self.dim = self.design.shape[1]
         self.name = f"logistic-{self.dim}"
         self.support = [(-np.inf, np.inf)] * self.dim
+        self._last = None
 
     def _design_for(self, data):
         if data.covariates is not None:
@@ -342,41 +380,51 @@ class LogisticGLM(ModelSpec):
             raise ValueError("dataset without covariates must match the stored design")
         return self.design
 
+    def _at(self, x, theta) -> _LogitPoint:
+        """The evaluation at (x, theta).  The memo keeps the last point's key
+        with up to two designs, the stored one and a dataset's covariates,
+        as a MAP under a Jeffreys partner asks for both at every point.  It
+        holds each x itself, never its address, which a new array could
+        reuse once x is freed; each x is a read-only view, as Dataset and
+        the constructor keep them.  The memo is swapped in whole, so threads
+        never mix two points."""
+        theta = np.asarray(theta, dtype=float)
+        key = (theta.shape, theta.tobytes())
+        pairs = ()
+        last = self._last
+        if last is not None and last[0] == key:
+            for held, point in last[1]:
+                if held is x:
+                    return point
+            pairs = last[1][-1:]
+        point = _LogitPoint(x, theta)
+        self._last = (key, pairs + ((x, point),))
+        return point
+
     def avg_loglik(self, data, theta):
         x = self._design_for(data)
         y = data.responses[:, 0]
-        eta = x @ np.asarray(theta, dtype=float)
+        eta = self._at(x, theta).eta
         return float(np.mean(y * eta - softplus(eta)))
 
     def avg_grad(self, data, theta):
         x = self._design_for(data)
         y = data.responses[:, 0]
-        p = sigmoid(x @ np.asarray(theta, dtype=float))
-        return x.T @ (y - p) / data.n
+        return x.T @ (y - self._at(x, theta).p) / data.n
 
     def avg_hess(self, data, theta):
         x = self._design_for(data)
-        p = sigmoid(x @ np.asarray(theta, dtype=float))
-        w = p * (1.0 - p)
-        return -(x.T * w) @ x / data.n
+        p = self._at(x, theta).p
+        return -(x.T * (p * (1.0 - p))) @ x / data.n
 
     def avg_third(self, data, theta):
         x = self._design_for(data)
-        p = sigmoid(x @ np.asarray(theta, dtype=float))
-        w = p * (1.0 - p) * (1.0 - 2.0 * p)
-        return -weighted_cube(x, w) / data.n
-
-    def _tail_weights(self, theta):
-        """eta = X theta, q = min(p, 1 - p) and w = p (1 - p) = q (1 - q), from
-        e = exp(-|eta|): the tanh sigmoid rounds p to 0 or 1 from |eta| ~ 37."""
-        eta = self.design @ np.asarray(theta, dtype=float)
-        e = np.exp(-np.abs(eta))
-        q = e / (1.0 + e)
-        return eta, q, q * (1.0 - q)
+        p = self._at(x, theta).p
+        return -weighted_cube(x, p * (1.0 - p) * (1.0 - 2.0 * p)) / data.n
 
     def fisher(self, theta):
         x = self.design
-        return (x.T * self._tail_weights(theta)[2]) @ x / x.shape[0]
+        return (x.T * self._at(x, theta).tail[1]) @ x / x.shape[0]
 
     @cached_property
     def _design_outer(self):
@@ -387,14 +435,15 @@ class LogisticGLM(ModelSpec):
     def skewness(self, theta):
         x = self.design
         n, d = x.shape
-        eta, q, w = self._tail_weights(theta)
-        w = np.copysign(w * (1.0 - 2.0 * q), -eta)  # w (1 - 2p)
+        at = self._at(x, theta)
+        q, w = at.tail
+        w = np.copysign(w * (1.0 - 2.0 * q), -at.eta)  # w (1 - 2p)
         return ((x * w[:, None]).T @ self._design_outer).reshape(d, d, d) / n
 
     def fisher_hess(self, theta):
         # d^2/d eta^2 of w = p(1-p) is w (1 - 6w)
         n, d = self.design.shape
-        w = self._tail_weights(theta)[2]
+        w = self._at(self.design, theta).tail[1]
         outer = self._design_outer
         quad = (outer * (w * (1.0 - 6.0 * w))[:, None]).T @ outer
         return quad.reshape((d,) * 4) / n

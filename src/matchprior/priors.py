@@ -16,8 +16,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import FamilyMismatch, InvalidHyperparameter, SupportMismatch
-from .geometry import (alpha_parallel_log_grad, geometry_at,
-                       jeffreys_log_density, jeffreys_log_grad, jeffreys_log_hess)
+# jeffreys_log_density and jeffreys_log_grad stay importable from here:
+# bench/tracing.py rebinds them under these names
+from .geometry import (_JeffreysMemo, alpha_parallel_log_grad, geometry_at,
+                       jeffreys_log_density, jeffreys_log_grad)
 from .models import ModelSpec, box_bounds, in_open_box
 
 
@@ -134,12 +136,17 @@ def invgamma_prior(a, b) -> PriorSpec:
 
 
 def jeffreys_prior(model: ModelSpec) -> PriorSpec:
+    """pi_J = sqrt(det g).  The prior keeps the geometry of the last point it
+    was asked about, so its value, gradient and Hessian there (as a MAP
+    search asks for them) form g, g^{-1} and dg once; the numbers are those
+    of jeffreys_log_density, jeffreys_log_grad and jeffreys_log_hess."""
+    at = _JeffreysMemo(model)
     return PriorSpec("jeffreys",
-                     lambda th: jeffreys_log_density(model, th),
-                     lambda th: jeffreys_log_grad(model, th),
+                     lambda th: at(th).log_density(),
+                     lambda th: at(th).log_grad(),
                      proper=False,
                      support=list(model.support),
-                     log_hess=lambda th: jeffreys_log_hess(model, th))
+                     log_hess=lambda th: at(th).log_hess())
 
 
 def komaki_prior(beta_vec, alpha_exp, floor=0.0) -> PriorSpec:

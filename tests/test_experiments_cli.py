@@ -129,6 +129,27 @@ def test_scenario2_runs_single_rep(tmp_path):
         "dim", "reps"]
 
 
+def test_unread_lists_extra_keys_the_harness_ignores(tmp_path):
+    # a logistic study reads no extra key, so another harness's keys are
+    # listed as unread instead of passing silently
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "logistic-s1", "out": str(tmp_path / "logit"),
+        "n_grid": [16], "seed": 5, "chain_length": 50, "burnin": 50,
+        "target": "shrinkage", "m_grid": [5]})
+    assert cfg.extra == {"target": "shrinkage", "m_grid": [5]}
+    meta = json.loads(
+        (mp.run_logistic_synthetic(1, cfg) / "meta.json").read_text())
+    assert meta["unread"] == ["dim", "extra.m_grid", "extra.target"]
+    # the synthetic shrinkage generator reads generator but not counts_csv
+    cfg = ExperimentConfig(experiment="poisson-shrinkage",
+                           out=str(tmp_path / "shrink"), n_grid=(1,), dim=4,
+                           extra={"generator": "synthetic",
+                                  "counts_csv": "unused.csv"})
+    meta = json.loads(
+        (mp.run_poisson_shrinkage(cfg) / "meta.json").read_text())
+    assert meta["unread"] == ["burnin", "chain_length", "extra.counts_csv"]
+
+
 def test_shrinkage_run_and_gap_ordering(tmp_path, monkeypatch):
     def no_sampler(*args, **kwargs):
         raise AssertionError("the shrinkage study ran komaki_gibbs")

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -214,6 +217,84 @@ def test_dataset_arrays_are_read_only_views():
     y[0, 0] = 5.0
     x[0, 0] = 5.0
     assert y[0, 0] == 5.0 and x[0, 0] == 5.0
+
+
+def test_logistic_memo_two_designs_match_fresh_instances():
+    # one model, two datasets with their own covariates and the stored
+    # design, asked in turn at repeated, alternating and reused points
+    rng = np.random.default_rng(17)
+    design = np.column_stack([rng.normal(size=9), np.ones(9)])
+    sets = [mp.Dataset(rng.integers(0, 2, size=9).astype(float),
+                       np.column_stack([rng.normal(size=9), np.ones(9)]))
+            for _ in range(2)]
+    model = mp.LogisticGLM(design)
+    p0, p1 = rng.normal(size=2), rng.normal(size=2)
+    buf = p0.copy()
+    avg = ("avg_loglik", "avg_grad", "avg_hess", "avg_third")
+    geo = ("fisher", "skewness", "fisher_hess")
+    for k, theta in enumerate([p0, p0, p1, p0, p1, buf, buf, buf]):
+        if k == 6:
+            buf[1] += 0.5
+        for j, data in enumerate(sets * 2):
+            for name in avg[j:] + geo + avg[:j]:
+                fresh = mp.LogisticGLM(design)
+                args = (theta,) if name in geo else (data, theta)
+                assert np.array_equal(getattr(model, name)(*args),
+                                      getattr(fresh, name)(*args)), (k, name)
+
+
+def test_shared_memos_stay_exact_under_thread_switching():
+    # eight threads share one logistic model and its Jeffreys prior, each
+    # walking the points in its own order; a memo entry read under another
+    # point's key would show as a wrong value
+    rng = np.random.default_rng(5)
+    design = np.column_stack([rng.normal(size=40), np.ones(40)])
+    data = mp.Dataset(rng.integers(0, 2, size=40).astype(float), design)
+    model = mp.LogisticGLM(design)
+    prior = mp.jeffreys_prior(model)
+    points = [rng.normal(size=2) for _ in range(5)]
+
+    def evaluate(m, p, th):
+        return (m.avg_grad(data, th), m.avg_hess(data, th), m.fisher(th),
+                p.log_grad(th), p.log_hess(th))
+
+    want = []
+    for th in points:
+        fresh = mp.LogisticGLM(design)
+        want.append(evaluate(fresh, mp.jeffreys_prior(fresh), th))
+    wrong = []
+
+    def work(k):
+        for r in range(150):
+            i = (k * r + r) % len(points)
+            got = evaluate(model, prior, points[i])
+            if not all(np.array_equal(a, b) for a, b in zip(got, want[i])):
+                wrong.append((k, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_logistic_design_is_read_like_dataset_arrays():
+    x = np.column_stack([np.linspace(-1.0, 1.0, 5), np.ones(5)])
+    model = mp.LogisticGLM(x)
+    with pytest.raises(ValueError):
+        model.design[0, 0] = 9.0
+    x[0, 0] = 5.0  # the caller's array stays writable
+    bad = x.copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(NonFiniteInput):
+        mp.LogisticGLM(bad)
 
 
 def test_softplus_matches_logaddexp():

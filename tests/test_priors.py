@@ -6,7 +6,10 @@ import pytest
 import matchprior as mp
 from matchprior.errors import (FamilyMismatch, InvalidHyperparameter,
                                SupportMismatch)
-from matchprior.geometry import jeffreys_log_grad, jeffreys_log_hess
+from matchprior.estimators import LogPosterior
+from matchprior.geometry import (_invert_metric, central_difference,
+                                 fisher_matrix_grad, jeffreys_log_grad,
+                                 jeffreys_log_hess)
 from matchprior.priors import _target_form, parse_prior
 
 
@@ -283,3 +286,95 @@ def test_jeffreys_power_partner_aliases_and_closed_form_hessian():
         mp.jeffreys_power_partner(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(), 3)
     with pytest.raises(FamilyMismatch):
         mp.jeffreys_power_partner(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(), 1)
+
+
+# ---------------------------------------------------------------------------
+# the Jeffreys prior's one-point memo
+
+
+def _fresh_jeffreys(model, theta):
+    """log pi_J, its gradient and Hessian, each from its own g, g^{-1} and
+    dg, as the free functions formed them before the per-point record."""
+    g = model.fisher(theta)
+    value = 0.5 * np.linalg.slogdet(g)[1]
+
+    def grad(th):
+        return 0.5 * np.einsum("bc,abc->a", _invert_metric(model.fisher(th)),
+                               fisher_matrix_grad(model, th))
+
+    d2g = model.fisher_hess(theta)
+    if d2g is None:
+        out = central_difference(grad, theta, 1e-6, model.in_support)
+        hess = 0.5 * (out + out.T)
+    else:
+        g_inv = _invert_metric(model.fisher(theta))
+        a = g_inv @ fisher_matrix_grad(model, theta)
+        hess = 0.5 * (np.tensordot(d2g, g_inv, axes=([2, 3], [0, 1]))
+                      - np.einsum("aij,bji->ab", a, a))
+        hess = 0.5 * (hess + hess.T)
+    return value, grad(theta), hess
+
+
+class _NoFisherHess(mp.PoissonSequence):
+    def fisher_hess(self, theta):
+        return None
+
+
+_X = np.column_stack([np.linspace(-1.5, 1.5, 11), np.ones(11)])
+_MEMO_CASES = {
+    "logistic": (lambda: mp.LogisticGLM(_X), lambda r: r.normal(size=2)),
+    "poisson-seq-3": (lambda: mp.PoissonSequence(3),
+                      lambda r: r.uniform(0.3, 4.0, 3)),
+    "gaussian-precision": (mp.GaussianKnownMeanPrecision,
+                           lambda r: r.uniform(0.3, 4.0, 1)),
+    "no-fisher-hess": (lambda: _NoFisherHess(2),
+                       lambda r: r.uniform(0.3, 4.0, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+def test_jeffreys_prior_memo_matches_fresh_evaluation(case):
+    make, draw = _MEMO_CASES[case]
+    rng = np.random.default_rng(31)
+    prior = mp.jeffreys_prior(make())
+    p0, p1, p2 = (draw(rng) for _ in range(3))
+    orders = [("log_density", "log_grad", "log_hess"),
+              ("log_hess", "log_density", "log_grad"),
+              ("log_grad", "log_hess", "log_density")]
+    buf = p2.copy()
+    # repeats, alternations, then one array the caller changes in place
+    steps = [p0, p0, p1, p0, p1, p1, p2, buf, (0, 1.25), buf, (-1, 0.5), buf,
+             (slice(None), p0), buf]
+    for i, step in enumerate(steps):
+        if isinstance(step, tuple):
+            where, value = step
+            if isinstance(where, slice):
+                buf[where] = value
+            else:
+                buf[where] *= value
+            continue
+        want = dict(zip(("log_density", "log_grad", "log_hess"),
+                        _fresh_jeffreys(make(), step.copy())))
+        for name in orders[i % 3]:
+            got = getattr(prior, name)(step)
+            assert np.array_equal(got, want[name]), (case, i, name)
+
+
+def test_eflat_partner_map_forms_the_fisher_metric_once_per_point(monkeypatch):
+    n = 64
+    design = np.column_stack([np.arange(1, n + 1) / n, np.ones(n)])
+    model = mp.LogisticGLM(design)
+    data = model.sample(np.array([1.0, -0.3]), n, np.random.default_rng(4))
+    fisher_at, asked = [], set()
+    fisher = mp.LogisticGLM.fisher
+    monkeypatch.setattr(mp.LogisticGLM, "fisher", lambda self, th: (
+        fisher_at.append(th.tobytes()) or fisher(self, th)))
+    for name in ("value", "grad", "hess"):
+        method = getattr(LogPosterior, name)
+        monkeypatch.setattr(LogPosterior, name,
+                            lambda self, th, method=method: (
+                                asked.add(th.tobytes()) or method(self, th)))
+    res = mp.map_estimate(model, data,
+                          mp.eflat_map_partner(mp.normal_prior(0, 1), model))
+    assert res.diagnostics["converged"] and res.diagnostics["iterations"] >= 3
+    assert len(fisher_at) == len(set(fisher_at)) == len(asked)
