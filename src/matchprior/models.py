@@ -8,7 +8,8 @@ the Fisher information of one observation.  All evaluators are functions of
 point memo of eta = X theta for the last theta, keyed on the design array
 itself and theta's bytes and swapped in whole, so a thread never reads
 another point's entry.  Its design is read as Dataset reads its arrays, a
-read-only view, so the model cannot change an array the memo holds.
+read-only copy, so neither the model nor the caller can change an array the
+memo holds.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def softplus(x):
 class Dataset:
     """Stacked observations.  responses has shape (n, k); covariates (n, p) or None.
 
-    Immutable: the arrays are read-only views (the caller's stay writable),
+    Immutable: the arrays are read-only copies (the caller's stay writable),
     so the statistics cached on first use never go stale.  NaN or infinite
     entries raise NonFiniteInput here, before any model reads them."""
 
@@ -98,11 +99,12 @@ class Dataset:
 
 
 def _read_only(arr, name) -> np.ndarray:
-    """A read-only view of arr (the caller's array stays writable);
+    """A read-only copy of arr, so a later write to the caller's array (which
+    stays writable) reaches neither the copy nor what was cached from it;
     NonFiniteInput on a NaN or infinite entry."""
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} has non-finite entries")
-    arr = arr.view()
+    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -385,7 +387,7 @@ class LogisticGLM(ModelSpec):
         with up to two designs, the stored one and a dataset's covariates,
         as a MAP under a Jeffreys partner asks for both at every point.  It
         holds each x itself, never its address, which a new array could
-        reuse once x is freed; each x is a read-only view, as Dataset and
+        reuse once x is freed; each x is a read-only copy, as Dataset and
         the constructor keep them.  The memo is swapped in whole, so threads
         never mix two points."""
         theta = np.asarray(theta, dtype=float)

@@ -2,7 +2,9 @@
 
 A trapezoid grid about the posterior mode, with adaptive quadrature
 (Gauss-Kronrod via QUADPACK) behind it, plus closed conjugate forms, used to
-validate samplers, Laplace expansions, and calibration.
+validate samplers, Laplace expansions, and calibration.  QUADPACK's module,
+scipy.integrate, loads on the first call to quad, not at import: only the
+fallback and priors.matching_pair_1d call it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (InvalidHyperparameter, MatchPriorError, NonFiniteInput,
                      TailNotDecaying, ToleranceNotMet)
@@ -31,6 +32,14 @@ _GRID_LEVELS = 6
 _GRID_NODES = 50_000     # evaluations before QUADPACK takes over
 _GRID_RADIUS = 40.0      # a walk not negligible this far out meets a heavy tail
 _NEGLIGIBLE = 1e-3       # a node's mass, relative to the centre's, per abs_tol
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: scipy.integrate brings
+    scipy.optimize and scipy.sparse with it.  _quadpack calls it by this
+    global name, which tests and tracing rebind."""
+    from scipy.integrate import quad as quadpack
+    return quadpack(*args, **kwargs)
 
 
 @dataclass(frozen=True)

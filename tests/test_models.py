@@ -219,6 +219,24 @@ def test_dataset_arrays_are_read_only_views():
     assert y[0, 0] == 5.0 and x[0, 0] == 5.0
 
 
+def test_caller_writes_after_construction_reach_no_model():
+    # a later write to the caller's array once mixed a cached statistic
+    # with the written entry, and the logistic memo's weights with a new design
+    y = np.array([1.0, 2.0, 3.0])
+    data = mp.Dataset(y)
+    assert data.response_mean[0] == 2.0
+    y[0] = 10.0
+    assert data.responses[0, 0] == 1.0 and data.response_mean[0] == 2.0
+    x = np.column_stack([np.linspace(-1.0, 1.0, 5), np.ones(5)])
+    theta = np.array([0.3, -0.2])
+    model = mp.LogisticGLM(x)
+    first = model.fisher(theta)
+    fresh = mp.LogisticGLM(x.copy())
+    x[0, 0] = 5.0
+    assert np.array_equal(model.fisher(theta), first)
+    assert np.array_equal(fresh.fisher(theta), first)
+
+
 def test_logistic_memo_two_designs_match_fresh_instances():
     # one model, two datasets with their own covariates and the stored
     # design, asked in turn at repeated, alternating and reused points

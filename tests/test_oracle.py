@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,6 +267,44 @@ def test_heavy_tail_falls_back_to_quadpack(monkeypatch):
     assert calls
     assert abs(v[0] - ref[0]) <= 1e-12
     assert err[0] == ref_err[0]
+
+
+# the two QUADPACK users, run in a fresh interpreter and here: the heavy-tail
+# fallback above and a matching_pair_1d partner's log density
+_COLD_CASES = """
+import matchprior as mp
+import numpy as np
+v, err = mp.quad_posterior_expectation(
+    mp.MultivariateCauchyLocation(1), mp.Dataset(np.array([-1.0, 1.0])),
+    mp.uniform_prior())
+pair = mp.matching_pair_1d(mp.gamma_prior(2.0, 1.0), mp.PoissonRate(), 1.0)
+values = [float(v[0]), float(err[0]), float(pair.map.log_density(np.array([2.5])))]
+"""
+
+
+def test_quadpack_loads_on_first_use_in_a_fresh_interpreter():
+    # pytest's own process has scipy.integrate loaded (test_mcmc imports it)
+    script = f"""
+import json, sys
+lazy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+def loaded():
+    return [m for m in lazy if m in sys.modules]
+import matchprior
+at_import = loaded()
+{_COLD_CASES}
+print(json.dumps([at_import, loaded(), values]))
+"""
+    src = str(Path(mp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    at_import, after, cold = json.loads(out.stdout.splitlines()[-1])
+    assert at_import == []
+    assert "scipy.integrate" in after
+    here = {}
+    exec(_COLD_CASES, here)
+    assert cold == here["values"]
 
 
 def test_fast_path_evaluation_count(monkeypatch):
