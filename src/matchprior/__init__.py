@@ -31,7 +31,6 @@ from .mcmc import (ChainConfig, ChainOutput, batch_means_se, komaki_gibbs,
                    polya_gamma_1, polya_gamma_gibbs, rwmh, rwmh_target)
 from .oracle import QuadratureSpec, conjugate_pm, quad_posterior_expectation
 from .experiments import (ExperimentConfig, run_cauchy_calibration,
-                          run_logistic_synthetic, run_poisson_shrinkage,
-                          run_timing)
+                          run_logistic_synthetic, run_poisson_shrinkage)
 
 __version__ = "0.1.0"

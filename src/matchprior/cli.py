@@ -15,8 +15,8 @@ import numpy as np
 
 from . import experiments
 from .errors import MatchPriorError
-from .estimators import (calibrate_pm_from_map, laplace_posterior_expectation,
-                         map_estimate, mle)
+from .estimators import (EstimateResult, calibrate_pm_from_map,
+                         laplace_posterior_expectation, map_estimate, mle)
 from .geometry import geometry_at
 from .mcmc import ChainConfig, komaki_gibbs, polya_gamma_gibbs, rwmh
 from .models import (GaussianKnownMeanPrecision, LogisticGLM,
@@ -169,13 +169,9 @@ def estimate(model_name, prior_text, method, data_path, banknote, bound_lo,
         res.diagnostics["map_point"] = map_res.point
     else:
         mle_res = mle(model, data, tol=tol)
-        point = laplace_posterior_expectation(model, data, prior, None,
-                                              mle_res.point)
-        click.echo(json.dumps(_jsonable({"point": point, "method": "LAPLACE",
-                                         "diagnostics": {"mle": mle_res.point,
-                                                         "seed": seed}}),
-                              indent=2, sort_keys=True))
-        return
+        res = EstimateResult(laplace_posterior_expectation(
+            model, data, prior, None, mle_res.point), "LAPLACE",
+            {"mle": mle_res.point})
     out = {"point": res.point, "method": res.method,
            "diagnostics": dict(res.diagnostics, seed=seed)}
     click.echo(json.dumps(_jsonable(out), indent=2, sort_keys=True))
@@ -211,13 +207,21 @@ def sample(sampler, model_name, prior_text, data_path, banknote, chain_length,
     elif sampler == "pg-gibbs":
         if data.covariates is None:
             raise click.UsageError("pg-gibbs needs covariates in the data file")
+        if model_name and not isinstance(build_model(model_name, data),
+                                         LogisticGLM):
+            raise click.UsageError(f"pg-gibbs samples the logistic model, "
+                                   f"not {model_name!r}")
         prior = parse_prior(prior_text, None)
         chain = polya_gamma_gibbs(data.covariates, data.responses.ravel(),
                                   prior, config)
     else:
         beta, alpha = _komaki_args(prior_text)
-        model = build_model(model_name or f"poisson-seq:{data.responses.shape[1]}",
-                            data)
+        model = build_model(model_name or "poisson-seq", data)
+        if not (isinstance(model, PoissonSequence)
+                and model.dim == data.responses.shape[1]):
+            raise click.UsageError(
+                f"komaki-gibbs samples one Poisson rate per data column, "
+                f"{data.responses.shape[1]} here, not {model_name!r}")
         parse_prior(prior_text, model)  # validates the hyperparameters
         counts = data.responses.sum(axis=0)
         chain = komaki_gibbs(counts, data.n, np.full(counts.shape[0], beta),
@@ -258,7 +262,7 @@ def run(config_path):
     """Run an experiment described by a JSON config file.
 
     The experiment field picks the harness: logistic-s1, logistic-s2,
-    poisson-shrinkage, cauchy-calibration, or timing.
+    poisson-shrinkage or cauchy-calibration.
     """
     with open(config_path) as fh:
         raw = json.load(fh)
@@ -270,8 +274,6 @@ def run(config_path):
         out = experiments.run_poisson_shrinkage(config)
     elif name == "cauchy-calibration":
         out = experiments.run_cauchy_calibration(config)
-    elif name == "timing":
-        out = experiments.run_timing(config)
     else:
         raise click.UsageError(f"unknown experiment {name!r}")
     click.echo(str(out))

@@ -1,10 +1,10 @@
 """Config-driven experiment harness.
 
 Reproduces the library's benchmark scenarios at desk scale: synthetic logistic
-gap studies, Poisson shrinkage gap studies, the Cauchy calibration sweep, and
-timing tables.  Every run writes records.csv, summary.csv, and meta.json into
-the configured output directory and is byte-reproducible from (config, seed),
-timing columns aside.
+gap studies, Poisson shrinkage gap studies and the Cauchy calibration sweep.
+Every run writes records.csv, summary.csv, and meta.json into the configured
+output directory and is byte-reproducible from (config, seed), the seconds
+column aside: each row records the wall time of its own estimator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MatchPriorError
 from .estimators import calibrate_pm_from_map, map_estimate
-from .mcmc import (ChainConfig, ChainOutput, batch_means_se, komaki_gibbs,
+from .mcmc import (ChainConfig, ChainOutput, batch_means_se,
                    polya_gamma_gibbs, rwmh)
 from .models import (Dataset, LogisticGLM, MultivariateCauchyLocation,
                      PoissonSequence, sigmoid)
@@ -31,7 +31,7 @@ from .priors import eflat_map_partner, komaki_prior, normal_prior
 
 # the keys the harnesses read from ExperimentConfig.extra
 _EXTRA_KEYS = frozenset({"generator", "counts_csv", "n", "m_grid",
-                         "mcmc_burnin", "target"})
+                         "mcmc_burnin"})
 
 
 @dataclass
@@ -145,11 +145,6 @@ def _write_outputs(config: ExperimentConfig, rows: list[dict],
             w.writerow([n, est, _fmt(arr.mean()),
                         _fmt(arr.std(ddof=1) if arr.size > 1 else 0.0),
                         arr.size])
-    return _write_meta(out, config, meta_extra, unread, extra_read)
-
-
-def _write_meta(out: Path, config: ExperimentConfig, meta_extra: dict,
-                unread: list[str], extra_read=()) -> Path:
     # "unread": the config fields the harness never read, though config has
     # them, and as "extra.<key>" each key of extra outside extra_read
     unread = [*unread, *(f"extra.{k}" for k in config.extra
@@ -389,55 +384,3 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
                            "acceptance_rate": acceptance},
                           ["burnin", "chain_length", "n_grid"],
                           ("n", "m_grid", "mcmc_burnin"))
-
-
-# ---------------------------------------------------------------------------
-# timing tables
-
-
-def run_timing(config: ExperimentConfig) -> Path:
-    """Wall-clock table (mean and sd seconds per method per n).
-
-    extra["target"] picks the workload: "logistic" (default) or "shrinkage".
-    """
-    if config.reps < 3:
-        raise ValueError("timing runs need at least 3 repetitions")
-    target = config.extra.get("target", "logistic")
-    if target not in ("logistic", "shrinkage"):
-        raise ValueError(f"unknown timing target {target!r}")
-    if not config.n_grid:
-        config.n_grid = (16, 64, 256) if target == "logistic" else (1, 10, 100)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for n in config.n_grid:
-        times: dict[str, list[float]] = {}
-        for rep in range(config.reps):
-            seed = derived_seed(config.seed, n, rep)
-            chain_cfg = ChainConfig(length=config.chain_length,
-                                    burnin=config.burnin, seed=seed)
-            if target == "logistic":
-                design, y, model, data, prior = _logistic_inputs(1, n, seed)
-                jobs = {"map-matching": lambda: map_estimate(
-                            model, data, eflat_map_partner(prior, model)),
-                        "pm-gibbs": lambda: polya_gamma_gibbs(
-                            design, y, prior, chain_cfg)}
-            else:
-                rng = np.random.default_rng(seed)
-                counts = rng.poisson(
-                    shrinkage_rates(config.dim or 100) * n).astype(float)
-                beta, alpha, model, data, prior = _shrinkage_inputs(counts, n)
-                jobs = {"map-komaki": lambda: map_estimate(model, data, prior),
-                        "pm-gibbs": lambda: komaki_gibbs(
-                            counts, n, beta, alpha, chain_cfg)}
-            for label, job in jobs.items():
-                times.setdefault(label, []).append(_timed(job)[1])
-        for label, ts in sorted(times.items()):
-            arr = np.asarray(ts)
-            rows.append([n, label, _fmt(arr.mean()), _fmt(arr.std(ddof=1))])
-    with open(out / "timing.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "method", "mean_seconds", "sd_seconds"])
-        w.writerows(rows)
-    return _write_meta(out, config, {"target": target},
-                       ["dim"] if target == "logistic" else [], ("target",))

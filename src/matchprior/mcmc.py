@@ -1,5 +1,5 @@
 """Posterior sampling: random-walk Metropolis, Polya-Gamma Gibbs for logistic
-regression, and augmented Gibbs for the Poisson shrinkage prior.
+regression, and exact iid draws for the Poisson shrinkage prior.
 
 All samplers are deterministic given the seed in ChainConfig.  Parallel
 chains should derive child seeds with numpy's SeedSequence spawning.
@@ -457,26 +457,23 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
 
 
 # ---------------------------------------------------------------------------
-# augmented Gibbs for the Poisson shrinkage prior
+# exact draws for the Poisson shrinkage prior
 
 
 def komaki_gibbs(counts, n: int, beta_vec, alpha_exp: float,
                  config: ChainConfig) -> ChainOutput:
-    """Gibbs sampler for independent Poisson rates under the shrinkage prior.
+    """Independent exact draws of Poisson rates under the shrinkage prior.
 
-    Uses (sum lam)^{-alpha} = (1/Gamma(alpha)) int u^{alpha-1} e^{-u sum lam} du:
-    u | lam ~ Gamma(alpha, rate=sum lam), lam_i | u ~ Gamma(beta_i + S_i, n + u).
+    With a = beta + S the posterior is sum(lam) ~ Gamma(sum a - alpha, rate n)
+    and lam / sum(lam) ~ Dirichlet(a), so config.length iid draws are taken:
+    all totals first, then all directions.  No chain runs and burnin draws
+    nothing; the name stays for its callers.
     """
     counts = np.atleast_1d(np.asarray(counts, dtype=float))
-    shape = _komaki_shape(counts, n, beta_vec, alpha_exp)
+    a = _komaki_shape(counts, n, beta_vec, alpha_exp)
     rng = np.random.default_rng(config.seed)
-    lam = counts / n + 1.0
-    samples = np.empty((config.length, counts.size))
-    for it in range(config.burnin + config.length):
-        u = rng.gamma(alpha_exp, 1.0 / np.sum(lam))
-        lam = rng.gamma(shape, 1.0 / (n + u))
-        if it >= config.burnin:
-            samples[it - config.burnin] = lam
+    total = rng.gamma(a.sum() - alpha_exp, 1.0 / n, size=config.length)
+    samples = total[:, None] * rng.dirichlet(a, size=config.length)
     return _finalize(samples, config.length, config.seed,
-                     {"sampler": "komaki-gibbs", "burnin": config.burnin,
+                     {"sampler": "komaki-exact", "burnin": config.burnin,
                       "chain_length": config.length})

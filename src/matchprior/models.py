@@ -98,6 +98,14 @@ class Dataset:
         return self.responses.shape[0]
 
 
+def _dimension(dim) -> int:
+    """dim as an int; ValueError unless it is an integer >= 1."""
+    if isinstance(dim, bool) or not (isinstance(dim, (int, np.integer))
+                                     and dim >= 1):
+        raise ValueError(f"model dimension must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
 def _read_only(arr, name) -> np.ndarray:
     """A read-only copy of arr, so a later write to the caller's array (which
     stays writable) reaches neither the copy nor what was cached from it;
@@ -275,7 +283,7 @@ class PoissonSequence(ModelSpec):
     alpha = -1.0
 
     def __init__(self, dim=1):
-        self.dim = dim
+        self.dim = _dimension(dim)
         self.name = f"poisson-seq-{dim}" if dim > 1 else "poisson"
         self.support = [(0.0, np.inf)] * dim
 
@@ -370,7 +378,7 @@ class LogisticGLM(ModelSpec):
     def __init__(self, design):
         self.design = _read_only(np.atleast_2d(np.asarray(design, dtype=float)),
                                  "design")
-        self.dim = self.design.shape[1]
+        self.dim = _dimension(self.design.shape[1])
         self.name = f"logistic-{self.dim}"
         self.support = [(-np.inf, np.inf)] * self.dim
         self._last = None
@@ -473,7 +481,7 @@ class MultivariateCauchyLocation(ModelSpec):
     alpha = 0.0  # T = 0 and g is constant, so every alpha-connection vanishes
 
     def __init__(self, dim):
-        self.dim = dim
+        self.dim = _dimension(dim)
         self.name = f"cauchy-{dim}"
         self.support = [(-np.inf, np.inf)] * dim
 

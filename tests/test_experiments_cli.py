@@ -48,8 +48,7 @@ def test_config_validation_and_from_dict():
     src = Path(mp.__file__).parent
     read = {k for f in src.glob("*.py")
             for k in re.findall(r'extra\.get\(\s*"(\w+)"', f.read_text())}
-    assert read >= {"generator", "counts_csv", "n", "m_grid", "mcmc_burnin",
-                    "target"}
+    assert read >= {"generator", "counts_csv", "n", "m_grid", "mcmc_burnin"}
     for key in read:
         for d in ({"experiment": "x", key: 1},
                   {"experiment": "x", "extra": {key: 1}}):
@@ -66,6 +65,10 @@ def test_from_dict_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match="unknown config keys: chain_lenght"):
         ExperimentConfig.from_dict({"experiment": "logistic-s1",
                                     "extra": {"chain_lenght": 5}})
+    # the retired timing experiment's key
+    with pytest.raises(ValueError, match="unknown config keys: target"):
+        ExperimentConfig.from_dict({"experiment": "poisson-shrinkage",
+                                    "target": "shrinkage"})
     cfile = tmp_path / "cfg.json"
     cfile.write_text(json.dumps({**bad, "out": str(tmp_path / "out")}))
     res = CliRunner().invoke(main, ["run", str(cfile)])
@@ -135,11 +138,11 @@ def test_unread_lists_extra_keys_the_harness_ignores(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "experiment": "logistic-s1", "out": str(tmp_path / "logit"),
         "n_grid": [16], "seed": 5, "chain_length": 50, "burnin": 50,
-        "target": "shrinkage", "m_grid": [5]})
-    assert cfg.extra == {"target": "shrinkage", "m_grid": [5]}
+        "n": 10, "m_grid": [5]})
+    assert cfg.extra == {"n": 10, "m_grid": [5]}
     meta = json.loads(
         (mp.run_logistic_synthetic(1, cfg) / "meta.json").read_text())
-    assert meta["unread"] == ["dim", "extra.m_grid", "extra.target"]
+    assert meta["unread"] == ["dim", "extra.m_grid", "extra.n"]
     # the synthetic shrinkage generator reads generator but not counts_csv
     cfg = ExperimentConfig(experiment="poisson-shrinkage",
                            out=str(tmp_path / "shrink"), n_grid=(1,), dim=4,
@@ -154,8 +157,7 @@ def test_shrinkage_run_and_gap_ordering(tmp_path, monkeypatch):
     def no_sampler(*args, **kwargs):
         raise AssertionError("the shrinkage study ran komaki_gibbs")
 
-    # both posterior means are closed forms, so no chain runs
-    monkeypatch.setattr(experiments, "komaki_gibbs", no_sampler)
+    # both posterior means are closed forms, so no sampler runs
     monkeypatch.setattr(mp.mcmc, "komaki_gibbs", no_sampler)
     cfg = ExperimentConfig(experiment="poisson-shrinkage",
                            out=str(tmp_path), n_grid=(1, 10), reps=1, seed=2,
@@ -270,30 +272,6 @@ def test_logistic_study_runs_one_gibbs_chain_per_cell(tmp_path, monkeypatch):
         assert chain.ess.shape == (2,) and np.all(np.isfinite(chain.ess))
 
 
-def test_timing_run(tmp_path):
-    for target, methods in (("logistic", {"map-matching", "pm-gibbs"}),
-                            ("shrinkage", {"map-komaki", "pm-gibbs"})):
-        cfg = ExperimentConfig(experiment="timing", out=str(tmp_path / target),
-                               n_grid=(8, 16), reps=3, seed=5,
-                               chain_length=100, burnin=50, dim=6,
-                               extra={"target": target})
-        out = mp.run_timing(cfg)
-        with open(out / "timing.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert {r["n"] for r in rows} == {"8", "16"}
-        assert {r["method"] for r in rows} == methods
-        assert all(float(r["sd_seconds"]) >= 0 for r in rows)
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["target"] == target
-        assert meta["unread"] == (["dim"] if target == "logistic" else [])
-    with pytest.raises(ValueError):
-        mp.run_timing(ExperimentConfig(experiment="timing",
-                                       out=str(tmp_path), reps=2))
-    with pytest.raises(ValueError, match="bogus"):
-        mp.run_timing(ExperimentConfig(experiment="timing", out=str(tmp_path),
-                                       reps=3, extra={"target": "bogus"}))
-
-
 def test_cli_estimate_and_oracle(tmp_path):
     data = tmp_path / "y.csv"
     data.write_text("y\n1\n3\n2\n0\n4\n")
@@ -387,6 +365,34 @@ def test_cli_komaki_sample_needs_plain_komaki_prior(tmp_path):
         res = runner.invoke(main, base + ["--prior", text])
         assert res.exit_code == 2, (text, res.output)
         assert "plain komaki(beta,alpha[,floor])" in res.output
+
+
+def test_cli_sample_rejects_a_model_the_sampler_does_not_target(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("y1,y2\n1,3\n2,0\n")
+    xy = tmp_path / "xy.csv"
+    xy.write_text("y,x1,x2\n1,0.5,1\n0,-0.5,1\n1,1.5,1\n0,-1,1\n")
+    runner = CliRunner()
+    common = ["--chain-length", "50", "--burnin", "0", "--out",
+              str(tmp_path / "draws.csv")]
+    komaki = ["sample", "--sampler", "komaki-gibbs", "--prior", "komaki(3,2)",
+              "--data", str(counts), *common]
+    pg = ["sample", "--sampler", "pg-gibbs", "--prior", "normal(0,4)",
+          "--data", str(xy), *common]
+    for args in (komaki, komaki + ["--model", "poisson-seq"],
+                 komaki + ["--model", "poisson-seq:2"],
+                 pg, pg + ["--model", "logistic"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)
+    # a 3-rate prior with a 2-rate chain, a single rate and another family
+    for model in ("poisson-seq:3", "poisson", "cauchy:2"):
+        res = runner.invoke(main, komaki + ["--model", model])
+        assert res.exit_code == 2, (model, res.output)
+        assert "one Poisson rate per data column, 2 here" in res.output
+    for model in ("cauchy:3", "poisson"):
+        res = runner.invoke(main, pg + ["--model", model])
+        assert res.exit_code == 2, (model, res.output)
+        assert "pg-gibbs samples the logistic model" in res.output
 
 
 def test_cli_run_byte_determinism(tmp_path):
@@ -542,26 +548,24 @@ def test_cli_sample_pg_gibbs_and_rwmh_needs_model(tmp_path):
     assert "pg-gibbs needs covariates" in res.output
 
 
-@pytest.mark.parametrize("cfg, product", [
-    ({"experiment": "poisson-shrinkage", "n_grid": [1, 10], "dim": 5},
-     "records.csv"),
-    ({"experiment": "timing", "n_grid": [16], "reps": 3, "chain_length": 50,
-      "burnin": 50}, "timing.csv"),
-])
-def test_cli_run_shrinkage_and_timing(cfg, product, tmp_path):
+def test_cli_run_shrinkage(tmp_path):
     cfile = tmp_path / "cfg.json"
-    cfile.write_text(json.dumps({**cfg, "out": str(tmp_path / "out")}))
+    cfile.write_text(json.dumps({"experiment": "poisson-shrinkage",
+                                 "n_grid": [1, 10], "dim": 5,
+                                 "out": str(tmp_path / "out")}))
     res = CliRunner().invoke(main, ["run", str(cfile)])
     assert res.exit_code == 0, res.output
     assert res.output.strip() == str(tmp_path / "out")
-    assert (tmp_path / "out" / product).exists()
+    assert (tmp_path / "out" / "records.csv").exists()
 
 
 def test_cli_run_unknown_experiment(tmp_path):
+    # timing is retired: each row's seconds column times its estimator
     cfile = tmp_path / "cfg.json"
-    cfile.write_text(json.dumps({"experiment": "bogus",
-                                 "out": str(tmp_path / "out")}))
-    res = CliRunner().invoke(main, ["run", str(cfile)])
-    assert res.exit_code == 2
-    assert "unknown experiment 'bogus'" in res.output
-    assert not (tmp_path / "out").exists()
+    for name in ("bogus", "timing"):
+        cfile.write_text(json.dumps({"experiment": name,
+                                     "out": str(tmp_path / "out")}))
+        res = CliRunner().invoke(main, ["run", str(cfile)])
+        assert res.exit_code == 2
+        assert f"unknown experiment '{name}'" in res.output
+        assert not (tmp_path / "out").exists()

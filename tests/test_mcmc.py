@@ -451,6 +451,27 @@ def test_komaki_gibbs_exact_d1():
     assert abs(chain.posterior_mean[0] - 2.5) < 3 * chain.mc_se[0]
 
 
+def test_komaki_draws_are_exact_d1():
+    # d=1: the draws are Gamma(S + beta - alpha, rate n) = Gamma(5, rate 2)
+    chain = mp.komaki_gibbs(np.array([4.0]), 2, np.array([3.0]), 2.0,
+                            ChainConfig(length=4000, seed=31))
+    assert chain.diagnostics["sampler"] == "komaki-exact"
+    assert chain.acceptance_rate == 1.0
+    assert stats.kstest(chain.samples[:, 0],
+                        stats.gamma(5.0, scale=0.5).cdf).pvalue > 1e-3
+
+
+def test_komaki_draws_are_exact_d2():
+    # a = beta + S = (5, 8): sum(lam) ~ Gamma(sum a - alpha, rate n) =
+    # Gamma(8, rate 3) and lam_1 / sum(lam) ~ Beta(5, 8)
+    chain = mp.komaki_gibbs(np.array([2.0, 5.0]), 3, np.array([3.0, 3.0]),
+                            5.0, ChainConfig(length=4000, seed=32))
+    total = chain.samples.sum(axis=1)
+    assert stats.kstest(total, stats.gamma(8.0, scale=1 / 3).cdf).pvalue > 1e-3
+    assert stats.kstest(chain.samples[:, 0] / total,
+                        stats.beta(5.0, 8.0).cdf).pvalue > 1e-3
+
+
 def test_komaki_gibbs_validation_and_determinism():
     cfg = ChainConfig(length=100, burnin=10, seed=14)
     with pytest.raises(InvalidHyperparameter):

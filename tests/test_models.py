@@ -173,6 +173,17 @@ def test_check_point_validation():
         check_point(pois, [0.0])  # boundary is outside the open support
 
 
+def test_model_dimension_is_an_integer_of_at_least_one():
+    for build, dim in ((mp.PoissonSequence, 0), (mp.PoissonSequence, 2.5),
+                       (mp.PoissonSequence, True),
+                       (mp.MultivariateCauchyLocation, 0),
+                       (mp.MultivariateCauchyLocation, -1),
+                       (mp.LogisticGLM, np.zeros((5, 0)))):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            build(dim)
+    assert mp.PoissonSequence(np.int64(3)).dim == 3
+
+
 def test_nonfinite_data_raises(tmp_path):
     y, x = np.array([0.0, 1.0]), np.ones((2, 2))
     for bad in (np.nan, np.inf, -np.inf):
