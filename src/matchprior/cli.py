@@ -38,32 +38,44 @@ def _jsonable(obj):
     return obj
 
 
-def build_model(name: str, data=None):
-    """Resolve a model catalog name such as poisson, poisson-seq:5,
-    gaussian-precision, logistic, or cauchy:10."""
+def _catalog_model(name: str, data=None):
+    """The model a catalog name such as poisson, poisson-seq:5,
+    gaussian-precision, logistic, or cauchy:10 names.  Only poisson-seq and
+    cauchy take a :<dim>; without one, their dimension is the data's width."""
     name = name.strip().lower()
-    base, _, arg = name.partition(":")
+    base, colon, arg = name.partition(":")
+    if colon and base not in ("poisson-seq", "cauchy"):
+        raise click.UsageError(f"only poisson-seq and cauchy take a :<dim>, "
+                               f"not {base}")
     if base in ("gaussian-precision", "gaussianprecision"):
         return GaussianKnownMeanPrecision()
     if base == "poisson":
         return PoissonRate()
-    if base == "poisson-seq":
-        if arg:
-            return PoissonSequence(int(arg))
-        if data is not None:
-            return PoissonSequence(data.responses.shape[1])
-        raise click.UsageError("poisson-seq needs a dimension, e.g. poisson-seq:5")
     if base == "logistic":
         if data is None or data.covariates is None:
             raise click.UsageError("logistic needs a data file with covariates")
         return LogisticGLM(data.covariates)
-    if base == "cauchy":
-        if arg:
-            return MultivariateCauchyLocation(int(arg))
+    if base in ("poisson-seq", "cauchy"):
+        cls = PoissonSequence if base == "poisson-seq" else MultivariateCauchyLocation
+        if colon:
+            return cls(int(arg))
         if data is not None:
-            return MultivariateCauchyLocation(data.responses.shape[1])
-        raise click.UsageError("cauchy needs a dimension, e.g. cauchy:10")
+            return cls(data.responses.shape[1])
+        raise click.UsageError(f"{base} needs a dimension, e.g. {base}:5")
     raise click.UsageError(f"unknown model {name!r}")
+
+
+def build_model(name: str, data=None):
+    """The model _catalog_model names.  One whose observations are not as
+    wide as the data's responses is a usage error, so a mistyped dimension
+    never runs another model than the one named."""
+    model = _catalog_model(name, data)
+    if (data is not None and not isinstance(model, LogisticGLM)
+            and model.dim != data.responses.shape[1]):
+        raise click.UsageError(
+            f"{name.strip()} has dimension {model.dim}, but the data have "
+            f"{data.responses.shape[1]} response columns")
+    return model
 
 
 def _load_data(path, banknote=False):
@@ -207,7 +219,7 @@ def sample(sampler, model_name, prior_text, data_path, banknote, chain_length,
     elif sampler == "pg-gibbs":
         if data.covariates is None:
             raise click.UsageError("pg-gibbs needs covariates in the data file")
-        if model_name and not isinstance(build_model(model_name, data),
+        if model_name and not isinstance(_catalog_model(model_name, data),
                                          LogisticGLM):
             raise click.UsageError(f"pg-gibbs samples the logistic model, "
                                    f"not {model_name!r}")
@@ -216,7 +228,7 @@ def sample(sampler, model_name, prior_text, data_path, banknote, chain_length,
                                   prior, config)
     else:
         beta, alpha = _komaki_args(prior_text)
-        model = build_model(model_name or "poisson-seq", data)
+        model = _catalog_model(model_name or "poisson-seq", data)
         if not (isinstance(model, PoissonSequence)
                 and model.dim == data.responses.shape[1]):
             raise click.UsageError(

@@ -416,7 +416,8 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
     data = Dataset(responses, design)
     if data.responses.shape[1] != 1:
         raise ValueError("logistic responses must be a single column")
-    x, y = data.covariates, data.responses[:, 0]
+    # row-major, so a seed gives the same draws whatever the caller's layout
+    x, y = np.ascontiguousarray(data.covariates), data.responses[:, 0]
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic responses must be 0 or 1")
     d = x.shape[1]

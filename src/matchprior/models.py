@@ -4,12 +4,12 @@ Each model exposes the dataset-average log-likelihood (1/n) sum_t log p(y_t)
 together with its first, second, and third parameter derivatives, the
 per-observation scores and Hessians that Monte Carlo geometry averages, and
 the Fisher information of one observation.  All evaluators are functions of
-(data, theta) and safe to share across threads.  LogisticGLM keeps a one-
-point memo of eta = X theta for the last theta, keyed on the design array
-itself and theta's bytes and swapped in whole, so a thread never reads
-another point's entry.  Its design is read as Dataset reads its arrays, a
-read-only copy, so neither the model nor the caller can change an array the
-memo holds.
+(data, theta) and safe to share across threads.  Every 2-D data array, a
+Dataset's and LogisticGLM's design, is a read-only column-major copy: the
+caller's array stays writable and never reaches what was cached, and each
+weighted sum over observations is one contiguous BLAS pass.  LogisticGLM
+keeps one record of the last point on its design, keyed on theta's bytes
+and swapped in whole, so a thread never reads another point's entry.
 """
 
 from __future__ import annotations
@@ -32,17 +32,6 @@ def row_outer(x):
     """(n, d*d) array whose row i is the flattened outer product x_i x_i'."""
     n, d = x.shape
     return (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-
-
-def weighted_cube(x, w=None):
-    """sum_i w_i x_ia x_ib x_ic as a (d, d, d) array, by one GEMM.
-
-    x is (n, d) and w is (n,) or None for unit weights.  The largest
-    temporary is the (n, d*d) row-wise outer product, never (n, d, d, d).
-    """
-    d = x.shape[1]
-    xw = x if w is None else x * w[:, None]
-    return (xw.T @ row_outer(x)).reshape(d, d, d)
 
 
 def softplus(x):
@@ -107,12 +96,12 @@ def _dimension(dim) -> int:
 
 
 def _read_only(arr, name) -> np.ndarray:
-    """A read-only copy of arr, so a later write to the caller's array (which
-    stays writable) reaches neither the copy nor what was cached from it;
+    """A read-only column-major copy of arr (so x.T is C-contiguous), which a
+    later write to the caller's array, still writable, never reaches;
     NonFiniteInput on a NaN or infinite entry."""
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} has non-finite entries")
-    arr = arr.copy()
+    arr = arr.copy(order="F")
     arr.flags.writeable = False
     return arr
 
@@ -345,32 +334,62 @@ class PoissonRate(PoissonSequence):
         super().__init__(dim=1)
 
 
+class _Outer:
+    """row_outer(x), formed on first use; records share it through this
+    holder, not the model, so no cycle keeps a model past its last use."""
+
+    def __init__(self, x):
+        self.x = x
+
+    @cached_property
+    def rows(self):
+        return row_outer(self.x)
+
+
 class _LogitPoint:
     """eta = x theta for one design x and point theta, and what the logistic
-    evaluators derive from it, each formed on first use."""
+    evaluators read there, each formed once from e = e^-|eta| (the tanh
+    sigmoid rounds p to 0 or 1 from |eta| ~ 37) with few large temporaries."""
 
-    def __init__(self, x, theta):
+    def __init__(self, x, theta, outer):
+        self.x, self._outer = x, outer
         self.eta = x @ theta
+        e = np.abs(self.eta)
+        self.e = np.exp(np.negative(e, out=e), out=e)
 
     @cached_property
-    def p(self):
-        return sigmoid(self.eta)
+    def weights(self):
+        """p and w = p (1 - p) = q r, with q = min(p, 1 - p) = e r, r = 1/(1 + e)."""
+        r = self.e + 1.0
+        np.reciprocal(r, out=r)
+        q = self.e * r
+        w = q * r
+        return np.where(self.eta < 0.0, q, r), w
 
     @cached_property
-    def tail(self):
-        """q = min(p, 1 - p) and w = p (1 - p) = q (1 - q), from e^-|eta|: the
-        tanh sigmoid rounds p to 0 or 1 from |eta| ~ 37."""
-        e = np.exp(-np.abs(self.eta))
-        q = e / (1.0 + e)
-        return q, q * (1.0 - q)
+    def gram(self):
+        """(1/n) sum_i w_i x_i x_i', the Fisher metric: one GEMM."""
+        x = self.x
+        return (x.T * self.weights[1]) @ x / x.shape[0]
+
+    @cached_property
+    def cube(self):
+        """(1/n) sum_i w_i (1 - 2 p_i) x_i x_i x_i, the skewness."""
+        n, d = self.x.shape
+        p, w = self.weights
+        t = p * -2.0  # w (1 - 2p), formed in place
+        t += 1.0
+        t *= w
+        return ((self.x.T * t) @ self._outer.rows).reshape(d, d, d) / n
 
 
 class LogisticGLM(ModelSpec):
     """Bernoulli regression with the canonical logit link and fixed design.
 
-    Every evaluator at (x, theta), x the stored design or a dataset's
-    covariates, reads one _LogitPoint, kept for the last theta, so a MAP
-    search forms eta once per point and design.
+    The link is canonical, so avg_hess is -fisher and avg_third -skewness,
+    each read from one _LogitPoint.  Covariates equal to the design are read
+    as the design, whose record of the last point is kept: a MAP search, its
+    Jeffreys partner and the calibration form each point's weights once.
     """
 
     alpha = 1.0
@@ -381,82 +400,69 @@ class LogisticGLM(ModelSpec):
         self.dim = _dimension(self.design.shape[1])
         self.name = f"logistic-{self.dim}"
         self.support = [(-np.inf, np.inf)] * self.dim
+        # (n, d*d), not n d^3: a Jeffreys-partner MAP reads it every step
+        self._outer = _Outer(self.design)
         self._last = None
+        self._seen = None
 
     def _design_for(self, data):
-        if data.covariates is not None:
-            return data.covariates
-        if data.n != self.design.shape[0]:
-            raise ValueError("dataset without covariates must match the stored design")
-        return self.design
+        x = data.covariates
+        if x is None:
+            if data.n != self.design.shape[0]:
+                raise ValueError("dataset without covariates must match the stored design")
+            return self.design
+        # one comparison per (read-only) array, held itself, never its address
+        seen = self._seen
+        if seen is None or seen[0] is not x:
+            seen = (x, np.array_equal(x, self.design))
+            self._seen = seen
+        return self.design if seen[1] else x
 
     def _at(self, x, theta) -> _LogitPoint:
-        """The evaluation at (x, theta).  The memo keeps the last point's key
-        with up to two designs, the stored one and a dataset's covariates,
-        as a MAP under a Jeffreys partner asks for both at every point.  It
-        holds each x itself, never its address, which a new array could
-        reuse once x is freed; each x is a read-only copy, as Dataset and
-        the constructor keep them.  The memo is swapped in whole, so threads
-        never mix two points."""
+        """The record at (x, theta).  Only the design's is kept, for the last
+        point, and swapped in whole, so threads never mix two points."""
         theta = np.asarray(theta, dtype=float)
+        if x is not self.design:
+            return _LogitPoint(x, theta, _Outer(x))
         key = (theta.shape, theta.tobytes())
-        pairs = ()
         last = self._last
         if last is not None and last[0] == key:
-            for held, point in last[1]:
-                if held is x:
-                    return point
-            pairs = last[1][-1:]
-        point = _LogitPoint(x, theta)
-        self._last = (key, pairs + ((x, point),))
+            return last[1]
+        point = _LogitPoint(x, theta, self._outer)
+        self._last = (key, point)
         return point
 
     def avg_loglik(self, data, theta):
-        x = self._design_for(data)
-        y = data.responses[:, 0]
-        eta = self._at(x, theta).eta
-        return float(np.mean(y * eta - softplus(eta)))
+        # sum_i softplus(eta_i) = sum_i max(eta_i, 0) + log1p(e_i)
+        at = self._at(self._design_for(data), theta)
+        return float((data.responses[:, 0] @ at.eta - np.log1p(at.e).sum()
+                      - np.maximum(at.eta, 0.0).sum()) / data.n)
 
     def avg_grad(self, data, theta):
         x = self._design_for(data)
-        y = data.responses[:, 0]
-        return x.T @ (y - self._at(x, theta).p) / data.n
+        return x.T @ (data.responses[:, 0] - self._at(x, theta).weights[0]) / data.n
 
     def avg_hess(self, data, theta):
-        x = self._design_for(data)
-        p = self._at(x, theta).p
-        return -(x.T * (p * (1.0 - p))) @ x / data.n
+        return -self._at(self._design_for(data), theta).gram
 
     def avg_third(self, data, theta):
-        x = self._design_for(data)
-        p = self._at(x, theta).p
-        return -weighted_cube(x, p * (1.0 - p) * (1.0 - 2.0 * p)) / data.n
+        return -self._at(self._design_for(data), theta).cube
 
     def fisher(self, theta):
-        x = self.design
-        return (x.T * self._at(x, theta).tail[1]) @ x / x.shape[0]
-
-    @cached_property
-    def _design_outer(self):
-        # the design is fixed, and the MAP under a Jeffreys partner asks for
-        # skewness and fisher_hess at every Newton step: (n, d*d), not n d^3
-        return row_outer(self.design)
+        return self._at(self.design, theta).gram.copy()
 
     def skewness(self, theta):
-        x = self.design
-        n, d = x.shape
-        at = self._at(x, theta)
-        q, w = at.tail
-        w = np.copysign(w * (1.0 - 2.0 * q), -at.eta)  # w (1 - 2p)
-        return ((x * w[:, None]).T @ self._design_outer).reshape(d, d, d) / n
+        return self._at(self.design, theta).cube.copy()
 
     def fisher_hess(self, theta):
         # d^2/d eta^2 of w = p(1-p) is w (1 - 6w)
         n, d = self.design.shape
-        w = self._at(self.design, theta).tail[1]
-        outer = self._design_outer
-        quad = (outer * (w * (1.0 - 6.0 * w))[:, None]).T @ outer
-        return quad.reshape((d,) * 4) / n
+        w = self._at(self.design, theta).weights[1]
+        v = w * -6.0
+        v += 1.0
+        v *= w
+        outer = self._outer.rows
+        return ((outer.T * v) @ outer).reshape((d,) * 4) / n
 
     def per_obs_score_hess(self, data, theta):
         x = self._design_for(data)
@@ -484,15 +490,14 @@ class MultivariateCauchyLocation(ModelSpec):
         self.dim = _dimension(dim)
         self.name = f"cauchy-{dim}"
         self.support = [(-np.inf, np.inf)] * dim
-
-    def _log_const(self):
-        d = self.dim
-        return gammaln((d + 1) / 2.0) - gammaln(0.5) - d * np.log(np.pi)
+        # log Gamma((d+1)/2) - log Gamma(1/2) - d log pi, fixed by d
+        self._log_const = (gammaln((self.dim + 1) / 2.0) - gammaln(0.5)
+                           - self.dim * np.log(np.pi))
 
     def avg_loglik(self, data, theta):
         u = data.responses - np.asarray(theta, dtype=float)
         r2 = np.sum(u * u, axis=1)
-        return float(self._log_const()
+        return float(self._log_const
                      - 0.5 * (self.dim + 1) * np.mean(np.log1p(r2)))
 
     def avg_grad(self, data, theta):
@@ -518,7 +523,9 @@ class MultivariateCauchyLocation(ModelSpec):
         eye = np.eye(self.dim)
         sym = (eye[:, :, None] * v[None, None, :] + eye[:, None, :] * v[None, :, None]
                + eye[None, :, :] * v[:, None, None])
-        return (self.dim + 1) * (8.0 * weighted_cube(r) / data.n - 2.0 * sym)
+        # sum_i r_ia r_ib r_ic by one GEMM, never an (n, d, d, d) temporary
+        cube = (r.T @ row_outer(r)).reshape((self.dim,) * 3)
+        return (self.dim + 1) * (8.0 * cube / data.n - 2.0 * sym)
 
     def fisher(self, theta):
         # multivariate t with nu = 1 (Lange, Little & Taylor 1989)

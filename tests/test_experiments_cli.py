@@ -525,6 +525,41 @@ def test_cli_build_model_from_data():
             build_model(name)
 
 
+def test_cli_rejects_a_dimension_the_model_does_not_run(tmp_path):
+    # a :<dim> once dropped silently ran a model other than the one named
+    one = tmp_path / "y.csv"
+    one.write_text("y\n1\n2\n4\n")
+    two = tmp_path / "y2.csv"
+    two.write_text("y1,y2\n1,3\n2,0\n")
+    xy = tmp_path / "xy.csv"
+    xy.write_text("y,x1,x2\n1,0.5,1\n0,-0.5,1\n1,1.5,1\n")
+    runner = CliRunner()
+    for args, says in [
+            (["geometry", "dump", "--model", "poisson:3", "--at", "2.0"],
+             "take a :<dim>, not poisson"),
+            (["geometry", "dump", "--model", "gaussian-precision:9", "--at",
+              "2.0"], "take a :<dim>, not gaussian-precision"),
+            (["estimate", "--model", "logistic:7", "--data", str(xy)],
+             "take a :<dim>, not logistic"),
+            (["estimate", "--model", "poisson:4", "--data", str(one)],
+             "take a :<dim>, not poisson"),
+            (["estimate", "--model", "poisson-seq:3", "--data", str(two)],
+             "has dimension 3, but the data have 2 response columns"),
+            (["estimate", "--model", "cauchy:3", "--data", str(two)],
+             "has dimension 3, but the data have 2 response columns"),
+            (["estimate", "--model", "gaussian-precision", "--data",
+              str(two)], "has dimension 1, but the data have 2")]:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert says in res.output, (args, res.output)
+    for args in (["estimate", "--model", "poisson-seq:2", "--data", str(two)],
+                 ["estimate", "--model", "logistic", "--data", str(xy)],
+                 ["geometry", "dump", "--model", "poisson-seq:3", "--at",
+                  "1,2,3"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)
+
+
 def test_cli_sample_pg_gibbs_and_rwmh_needs_model(tmp_path):
     data = tmp_path / "xy.csv"
     data.write_text("y,x1,x2\n1,0.5,1\n0,-0.5,1\n1,1.5,1\n0,-1,1\n1,0.2,1\n")

@@ -9,6 +9,7 @@ from matchprior import mcmc
 from matchprior.errors import (InvalidHyperparameter, MatchPriorError,
                                NonFiniteInput, SingularPrecision,
                                ZeroAcceptance)
+from matchprior.experiments import logistic_design, logistic_scenario_data
 from matchprior.mcmc import ChainConfig, batch_means_se, polya_gamma_1
 
 
@@ -363,6 +364,30 @@ def test_pg_gibbs_determinism_and_prior_requirement():
     assert np.array_equal(c1.samples, c2.samples)
     with pytest.raises(InvalidHyperparameter):
         mp.polya_gamma_gibbs(design, y, mp.uniform_prior(), cfg)
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("n", [16, 512])
+def test_pg_gibbs_draws_do_not_depend_on_the_design_layout(monkeypatch,
+                                                           scenario, n):
+    # Dataset keeps its copy column-major; the sweep works on one row-major
+    # copy per chain, so its sums run in the order they always have and a
+    # seed gives the same draws from any layout of the caller's design
+    swept = []
+    outer = mcmc.row_outer
+    monkeypatch.setattr(mcmc, "row_outer", lambda x: (
+        swept.append(x.flags.c_contiguous) or outer(x)))
+    x = logistic_design(n)
+    y = logistic_scenario_data(scenario, n, np.random.default_rng(5))
+    wide = np.zeros((n, 4))
+    wide[:, ::2] = x
+    draws = [mp.polya_gamma_gibbs(design, y, mp.normal_prior(0, 1),
+                                  ChainConfig(length=60, burnin=20,
+                                              seed=41)).samples
+             for design in (np.ascontiguousarray(x), np.asfortranarray(x),
+                            wide[:, ::2])]
+    assert swept == [True] * 3
+    assert all(np.array_equal(draws[0], d) for d in draws[1:])
 
 
 def test_pg_gibbs_draws_once_per_sweep(monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -324,6 +326,93 @@ def test_logistic_design_is_read_like_dataset_arrays():
     bad[2, 0] = np.nan
     with pytest.raises(NonFiniteInput):
         mp.LogisticGLM(bad)
+
+
+def _layouts(arr):
+    """arr row-major, column-major and as a non-contiguous view."""
+    wide = np.zeros((arr.shape[0], 2 * arr.shape[1]))
+    wide[:, ::2] = arr
+    return (np.ascontiguousarray(arr), np.asfortranarray(arr), wide[:, ::2])
+
+
+def test_evaluators_agree_across_caller_layouts():
+    # every 2-D array is copied column-major, whatever layout the caller hands
+    rng = np.random.default_rng(23)
+    n = 40
+    x = np.column_stack([rng.normal(size=n), np.ones(n)])
+    y_bin = (rng.random(n) < 0.5).astype(float)[:, None]
+    cases = [(lambda _: mp.GaussianKnownMeanPrecision(), rng.normal(size=(n, 1)),
+              None, np.array([1.3])),
+             (lambda _: mp.PoissonSequence(3), rng.poisson(2.0, (n, 3)) + 0.0,
+              None, np.array([0.5, 2.0, 4.0])),
+             (lambda _: mp.MultivariateCauchyLocation(3),
+              rng.standard_cauchy((n, 3)), None, np.array([0.1, -0.2, 0.3])),
+             (mp.LogisticGLM, y_bin, x, np.array([0.8, -0.3]))]
+    avg = ("avg_loglik", "avg_grad", "avg_hess", "avg_third")
+    for make, y, cov, theta in cases:
+        outs = []
+        for k, ys in enumerate(_layouts(y)):
+            xs = None if cov is None else _layouts(cov)[k]
+            model = make(xs)
+            data = mp.Dataset(ys, xs)
+            assert data.responses.flags.f_contiguous
+            outs.append([np.asarray(getattr(model, m)(data, theta)) for m in avg]
+                        + [model.fisher(theta), model.skewness(theta)])
+        for got in outs[1:]:
+            for a, b in zip(outs[0], got):
+                scale = max(np.max(np.abs(a)), 1e-300)
+                assert np.max(np.abs(a - b)) <= 1e-13 * scale, model.name
+
+
+def test_logistic_canonical_identities_hold_exactly_on_the_design():
+    # the canonical link: observed information = Fisher metric and
+    # -l''' = skewness, both read from one record of the design
+    rng = np.random.default_rng(31)
+    n = 64
+    x = np.column_stack([rng.normal(size=n), np.ones(n)])
+    y = (rng.random(n) < 0.5).astype(float)
+    model = mp.LogisticGLM(x)
+    for cov in (x, x.copy(), None):
+        data = mp.Dataset(y, cov)
+        for theta in (np.array([0.4, -1.1]), np.array([45.0, -2.0])):
+            assert np.array_equal(model.avg_hess(data, theta),
+                                  -model.fisher(theta))
+            assert np.array_equal(model.avg_third(data, theta),
+                                  -model.skewness(theta))
+    assert model.design.flags.f_contiguous and model.design.T.flags.c_contiguous
+
+
+def test_logistic_model_is_freed_when_its_last_reference_goes():
+    # records share the design's outer product without pointing back to the
+    # model: a cycle would hold the design, its outer product and the last
+    # record until the cycle collector ran
+    n = 200
+    design = np.column_stack([np.arange(1, n + 1) / n, np.ones(n)])
+    model = mp.LogisticGLM(design)
+    data = model.sample(np.array([1.0, -0.3]), n, np.random.default_rng(3))
+    res = mp.map_estimate(model, data,
+                          mp.eflat_map_partner(mp.normal_prior(0, 1), model))
+    mp.calibrate_pm_from_map(model, data, res.point)
+    model.avg_third(mp.Dataset(data.responses, -design), res.point)
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_cauchy_log_constant_is_formed_at_construction(monkeypatch):
+    model = mp.MultivariateCauchyLocation(3)
+    assert model._log_const == gammaln(2.0) - gammaln(0.5) - 3 * np.log(np.pi)
+    data = model.sample(np.zeros(3), 20, np.random.default_rng(2))
+    want = model.avg_loglik(data, np.zeros(3))
+
+    def no_gammaln(*args):
+        raise AssertionError("gammaln called per evaluation")
+    monkeypatch.setattr(models, "gammaln", no_gammaln)
+    assert model.avg_loglik(data, np.zeros(3)) == want
 
 
 def test_softplus_matches_logaddexp():

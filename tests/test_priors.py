@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import matchprior as mp
+from matchprior import models
 from matchprior.errors import (FamilyMismatch, InvalidHyperparameter,
                                SupportMismatch)
 from matchprior.estimators import LogPosterior
@@ -378,3 +379,32 @@ def test_eflat_partner_map_forms_the_fisher_metric_once_per_point(monkeypatch):
                           mp.eflat_map_partner(mp.normal_prior(0, 1), model))
     assert res.diagnostics["converged"] and res.diagnostics["iterations"] >= 3
     assert len(fisher_at) == len(set(fisher_at)) == len(asked)
+
+
+def test_eflat_partner_map_builds_one_logistic_record_per_point(monkeypatch):
+    # value, gradient, Hessian, Fisher metric, skewness and fisher_hess at a
+    # point all read one record; the data's covariates are a distinct array
+    # equal to the design, so they are read as the design
+    n = 256
+    design = np.column_stack([np.arange(1, n + 1) / n, np.ones(n)])
+    model = mp.LogisticGLM(design)
+    y = model.sample(np.array([1.0, -0.3]), n, np.random.default_rng(9))
+    data = mp.Dataset(y.responses, design.copy())
+    built, asked = [], set()
+    record = models._LogitPoint
+
+    class Counted(record):
+        def __init__(self, x, theta, outer):
+            built.append(np.asarray(theta, dtype=float).tobytes())
+            super().__init__(x, theta, outer)
+
+    monkeypatch.setattr(models, "_LogitPoint", Counted)
+    for name in ("value", "grad", "hess"):
+        method = getattr(LogPosterior, name)
+        monkeypatch.setattr(LogPosterior, name,
+                            lambda self, th, method=method: (
+                                asked.add(th.tobytes()) or method(self, th)))
+    res = mp.map_estimate(model, data,
+                          mp.eflat_map_partner(mp.normal_prior(0, 1), model))
+    assert res.diagnostics["converged"] and res.diagnostics["iterations"] >= 3
+    assert len(built) == len(set(built)) == len(asked)
