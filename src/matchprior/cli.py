@@ -247,6 +247,8 @@ def sample(sampler, model_name, prior_text, data_path, banknote, chain_length,
     click.echo(json.dumps(_jsonable(
         {"posterior_mean": chain.posterior_mean, "mc_se": chain.mc_se,
          "ess": chain.ess, "acceptance_rate": chain.acceptance_rate,
+         "estimator": chain.diagnostics["estimator"],
+         "draws_mc_se": chain.diagnostics["draws_mc_se"],
          "seed": chain.seed, "out": str(out_path)}), indent=2, sort_keys=True))
 
 

@@ -241,16 +241,17 @@ def _logistic_cell(scenario, n, rep, config: ExperimentConfig):
 
 
 def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
-    """Gap study: ridge MAP and matching-pair MAP against the Gibbs posterior
-    mean, across the n grid.  Scenario 1 is random Bernoulli data, scenario 2
-    a deterministic misspecified split."""
+    """Gap study: ridge MAP and matching-pair MAP against the Rao-Blackwellized
+    Gibbs posterior mean, across the n grid.  Scenario 1 is random Bernoulli
+    data, scenario 2 a deterministic misspecified split."""
     if not config.n_grid:
         config.n_grid = tuple(2 ** t for t in range(4, 10 if scenario == 1 else 12))
     reps = config.reps if scenario == 1 else 1
     rows = [row for n in config.n_grid for rep in range(reps)
             for row in _logistic_cell(scenario, n, rep, config)]
     return _write_outputs(config, rows,
-                          {"scenario": scenario, "reference": "pm-gibbs"},
+                          {"scenario": scenario, "reference": "pm-gibbs",
+                           "reference_estimator": "rao-blackwell"},
                           ["dim"] if scenario == 1 else ["dim", "reps"])
 
 

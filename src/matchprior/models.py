@@ -216,6 +216,7 @@ class GaussianKnownMeanPrecision(ModelSpec):
     """N(0, 1/theta) in the natural coordinate theta = 1/sigma^2.
 
     Natural exponential family with T(y) = -y^2/2 and psi(theta) = -(1/2) log theta.
+    A dataset with more than one response column is a ValueError.
     """
 
     dim = 1
@@ -225,12 +226,12 @@ class GaussianKnownMeanPrecision(ModelSpec):
 
     def avg_loglik(self, data, theta):
         th = float(theta[0])
-        return (0.5 * np.log(th) - 0.5 * th * data.response_square_mean[0]
+        return (0.5 * np.log(th) - 0.5 * th * self._square_mean(data)
                 - 0.5 * np.log(2 * np.pi))
 
     def avg_grad(self, data, theta):
         th = float(theta[0])
-        return np.array([0.5 / th - 0.5 * data.response_square_mean[0]])
+        return np.array([0.5 / th - 0.5 * self._square_mean(data)])
 
     def avg_hess(self, data, theta):
         th = float(theta[0])
@@ -255,7 +256,7 @@ class GaussianKnownMeanPrecision(ModelSpec):
 
     def per_obs_score_hess(self, data, theta):
         th = float(theta[0])
-        score = 0.5 / th - 0.5 * data.responses[:, :1] ** 2
+        score = 0.5 / th - 0.5 * self._responses(data) ** 2
         return score, np.full((data.n, 1, 1), -0.5 / th**2)
 
     def sample(self, theta, n, rng):
@@ -263,7 +264,18 @@ class GaussianKnownMeanPrecision(ModelSpec):
         return Dataset(rng.normal(0.0, sd, size=(n, 1)))
 
     def default_init(self, data):
-        return np.array([1.0 / max(data.response_square_mean[0], 1e-8)])
+        return np.array([1.0 / max(self._square_mean(data), 1e-8)])
+
+    def _responses(self, data) -> np.ndarray:
+        """data.responses; a ValueError unless it has exactly one column."""
+        k = data.responses.shape[1]
+        if k != 1:
+            raise ValueError(f"{self.name} takes 1 response column, got {k}")
+        return data.responses
+
+    def _square_mean(self, data) -> float:
+        self._responses(data)
+        return data.response_square_mean[0]
 
 
 class PoissonSequence(ModelSpec):

@@ -111,6 +111,7 @@ def test_logistic_run_outputs_and_determinism(tmp_path):
     assert (out1 / "summary.csv").exists()
     meta = json.loads((out1 / "meta.json").read_text())
     assert meta["reference"] == "pm-gibbs"
+    assert meta["reference_estimator"] == "rao-blackwell"
     assert meta["config"]["seed"] == 5
     assert meta["unread"] == ["dim"]
     # triangle inequality between L2 and per-coordinate gaps
@@ -569,7 +570,10 @@ def test_cli_sample_pg_gibbs_and_rwmh_needs_model(tmp_path):
             "100", "--burnin", "20", "--seed", "3", "--out", str(out)]
     res = runner.invoke(main, ["sample", "--sampler", "pg-gibbs", *base])
     assert res.exit_code == 0, res.output
-    assert len(json.loads(res.output)["posterior_mean"]) == 2
+    echo = json.loads(res.output)
+    assert len(echo["posterior_mean"]) == 2
+    assert echo["estimator"] == "rao-blackwell"
+    assert len(echo["draws_mc_se"]) == 2
     lines = out.read_text().splitlines()
     assert lines[0] == "iter,theta1,theta2" and len(lines) == 101
     res = runner.invoke(main, ["sample", "--sampler", "rwmh", *base])

@@ -355,6 +355,69 @@ def test_pg_gibbs_conjugacy_with_quadrature():
     assert np.all(np.abs(chain.posterior_mean - ref) < 3 * chain.mc_se)
 
 
+def test_pg_gibbs_means_are_calibrated_over_seeds():
+    # criterion 10's logistic instance: over 30 seeds, both the Rao-
+    # Blackwellized mean and the draws' mean sit within their own batch-means
+    # standard errors of the quadrature oracle, and the former is closer
+    n = 24
+    design = np.column_stack([np.arange(1, n + 1) / n, np.ones(n)])
+    y = (np.random.default_rng(1001).random(n)
+         < 1 / (1 + np.exp(-design @ [1.0, 0.0]))).astype(float)
+    prior = mp.normal_prior(0.0, 1.0)
+    ref, _ = mp.quad_posterior_expectation(
+        mp.LogisticGLM(design), mp.Dataset(y, design), prior,
+        spec=mp.QuadratureSpec(abs_tol=1e-9))
+    err = {"rao-blackwell": [], "draws": []}
+    z = {"rao-blackwell": [], "draws": []}
+    for seed in range(30):
+        chain = mp.polya_gamma_gibbs(design, y, prior,
+                                     ChainConfig(length=2000, burnin=500,
+                                                 seed=seed))
+        draws_mean = chain.samples.mean(axis=0)
+        for key, mean, se in (
+                ("rao-blackwell", chain.posterior_mean, chain.mc_se),
+                ("draws", draws_mean, chain.diagnostics["draws_mc_se"])):
+            err[key].append(mean - ref)
+            z[key].append((mean - ref) / se)
+    for key in z:
+        zs = np.array(z[key])
+        assert np.all(np.abs(zs.mean(axis=0)) <= 0.7), (key, zs.mean(axis=0))
+        sd = zs.std(axis=0, ddof=1)
+        assert np.all((0.6 <= sd) & (sd <= 1.5)), (key, sd)
+    rms = {key: np.sqrt(np.mean(np.square(e), axis=0))
+           for key, e in err.items()}
+    assert np.all(rms["rao-blackwell"] <= 0.5 * rms["draws"]), rms
+
+
+def test_pg_gibbs_reports_rao_blackwell_mean_and_draws_ess():
+    design = logistic_design(32)
+    y = logistic_scenario_data(1, 32, np.random.default_rng(8))
+    chain = mp.polya_gamma_gibbs(design, y, mp.normal_prior(0, 1),
+                                 ChainConfig(length=400, burnin=100, seed=9))
+    se, ess = batch_means_se(chain.samples)
+    assert np.array_equal(chain.ess, ess)
+    assert np.array_equal(chain.diagnostics["draws_mc_se"], se)
+    assert chain.diagnostics["estimator"] == "rao-blackwell"
+    assert np.all(chain.mc_se < chain.diagnostics["draws_mc_se"])
+    # the conditional means differ from the draws, so the estimate does too
+    assert not np.allclose(chain.posterior_mean, chain.samples.mean(axis=0),
+                           rtol=0, atol=1e-12)
+
+
+def test_draw_samplers_report_the_draws_mean():
+    cfg = ChainConfig(length=300, seed=4)
+    for chain in (mp.komaki_gibbs(np.array([4.0]), 2, np.array([3.0]), 2.0,
+                                  cfg),
+                  mcmc.rwmh_target(lambda t: -0.5 * t @ t, np.zeros(2), cfg)):
+        se, ess = batch_means_se(chain.samples)
+        assert chain.diagnostics["estimator"] == "draws"
+        assert np.array_equal(chain.posterior_mean,
+                              chain.samples.mean(axis=0))
+        assert np.array_equal(chain.mc_se, se)
+        assert np.array_equal(chain.diagnostics["draws_mc_se"], se)
+        assert np.array_equal(chain.ess, ess)
+
+
 def test_pg_gibbs_determinism_and_prior_requirement():
     design = np.array([[1.0], [0.5], [-0.3]])
     y = np.array([1.0, 0.0, 1.0])

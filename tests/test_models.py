@@ -218,6 +218,24 @@ def test_dataset_shapes():
         mp.Dataset(np.array([0.0, 1.0]), np.array([[1.0, 2.0]]))
 
 
+def test_gaussian_precision_rejects_a_second_response_column():
+    # the model reads one column; a second must not be dropped in silence
+    model = mp.GaussianKnownMeanPrecision()
+    wide = mp.Dataset([[1.0, 100.0], [2.0, 300.0]])
+    theta = np.array([0.5])
+    match = "gaussian-precision takes 1 response column, got 2"
+    for call in (lambda: model.avg_loglik(wide, theta),
+                 lambda: model.avg_grad(wide, theta),
+                 lambda: model.per_obs_score_hess(wide, theta),
+                 lambda: model.default_init(wide),
+                 lambda: mp.map_estimate(model, wide, mp.gamma_prior(2, 1))):
+        with pytest.raises(ValueError, match=match):
+            call()
+    # the first column alone is still read as before
+    res = mp.map_estimate(model, mp.Dataset([1.0, 2.0]), mp.gamma_prior(2, 1))
+    assert res.point[0] == pytest.approx(4.0 / 7.0, rel=1e-10)
+
+
 def test_dataset_arrays_are_read_only_views():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = np.ones((2, 3))
