@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -247,22 +247,10 @@ def map_estimate(model: ModelSpec, data: Dataset, prior: PriorSpec, init=None,
     return EstimateResult(theta, "MAP", diag)
 
 
-def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
-                          information: str = "fisher", lower=None,
-                          prior_gap=None) -> EstimateResult:
-    """One-step posterior-mean calibration from a MAP estimate.
-
-    Adds (1/2n) g^{ab} g^{cd} (1/n) sum_t d^3 log p(y_t) to the MAP point.
-    Valid as stated when the posterior-mean and MAP priors coincide; the
-    experimental prior_gap=(pm, map) option adds the general first-order gap
-    term (1/n) g^{ab} d_b log(pm/map).  information picks g: "fisher" (the
-    model's Fisher metric) or "observed" (minus the average Hessian).  A MAP
-    within 1e-10 of lower (a scalar or per-coordinate array) is BoundaryPoint.
-    """
-    theta = check_point(model, np.asarray(map_est, dtype=float))
-    if lower is not None and np.any(theta <= np.asarray(lower, float) + 1e-10):
-        raise BoundaryPoint("MAP estimate pinned to a bound; calibration invalid")
-    n = data.n
+def _expansion(model, data, theta, information, grad_gap, stats=None):
+    """theta + shift^a = g^{ab} (g^{cd} l_bcd / 2 + gap_b) / n, the 1/n
+    posterior-mean expansion about a mode, gap = grad_gap = d log(pm/map)
+    (None: 0); with stats, each Statistic's f + f_a shift^a + g^{ab} f_ab / 2n."""
     if information == "fisher":
         g = model.fisher(theta)
     elif information == "observed":
@@ -270,46 +258,70 @@ def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
     else:
         raise ValueError(f"unknown information choice {information!r}")
     g_inv = _invert_metric(g)
-    t3 = third_derivative_tensor(model, data, theta)
-    corr = 0.5 / n * np.einsum("ab,cd,bcd->a", g_inv, g_inv, t3)
-    diag = {"information": information, "n": n}
+    skew = np.einsum("ab,cd,bcd->a", g_inv, g_inv,
+                     third_derivative_tensor(model, data, theta))
+    if stats is not None:
+        out = np.empty(len(stats))
+        for i, s in enumerate(stats):
+            fg = s.grad(theta)
+            out[i] = (s.value(theta)
+                      + 0.5 / data.n * (np.einsum("ab,ab->", g_inv, s.hess(theta))
+                                        + 2.0 * fg @ g_inv @ grad_gap)
+                      + 0.5 / data.n * fg @ skew)
+        return out
+    shift = 0.5 / data.n * skew
+    if grad_gap is not None:
+        shift = shift + g_inv @ grad_gap / data.n
+    return theta + shift
+
+
+def _statistics(f, dim: int) -> list:
+    """f as a list of statistics or callables; None is the identity."""
+    if f is None:
+        return identity_statistics(dim)
+    if isinstance(f, Statistic) or callable(f):
+        return [f]
+    return list(f)
+
+
+def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
+                          information: str = "fisher", lower=None,
+                          prior_gap=None) -> EstimateResult:
+    """One-step posterior-mean calibration from a MAP estimate.
+
+    Adds (1/2n) g^{ab} g^{cd} (1/n) sum_t d^3 log p(y_t) to the MAP point.
+    Valid as stated when the posterior-mean and MAP priors coincide;
+    prior_gap=(pm, map) adds the paper's first-order gap term
+    (1/n) g^{ab} d_b log(pm/map).  information picks g: "fisher" (the
+    model's Fisher metric) or "observed" (minus the average Hessian).  A MAP
+    within 1e-10 of lower (a scalar or per-coordinate array) is BoundaryPoint.
+    """
+    theta = check_point(model, np.asarray(map_est, dtype=float))
+    if lower is not None and np.any(theta <= np.asarray(lower, float) + 1e-10):
+        raise BoundaryPoint("MAP estimate pinned to a bound; calibration invalid")
+    diag = {"information": information, "n": data.n}
+    gap = None
     if prior_gap is not None:
         pm, mp = prior_gap
-        corr = corr + g_inv @ (pm.log_grad(theta) - mp.log_grad(theta)) / n
+        gap = pm.log_grad(theta) - mp.log_grad(theta)
         diag["prior_gap"] = f"{pm.label}|{mp.label}"
-        diag["experimental"] = True
-    return EstimateResult(theta + corr, "CALIBRATED", diag)
+    return EstimateResult(_expansion(model, data, theta, information, gap),
+                          "CALIBRATED", diag)
 
 
 def laplace_posterior_expectation(model: ModelSpec, data: Dataset,
                                   prior: PriorSpec, f, theta_hat) -> np.ndarray:
     """Second-order Laplace approximation of posterior expectations.
 
-    theta_hat must be the MLE.  f is a Statistic or a sequence of them; None
-    selects the identity (posterior mean of each coordinate).
+    theta_hat must be the MLE.  f is a Statistic, a sequence of them (a bare
+    callable is ValueError) or None, the identity: one mean per coordinate.
     """
     theta = check_point(model, np.asarray(theta_hat, dtype=float))
-    n = data.n
-    J_inv = _invert_metric(-model.avg_hess(data, theta))
-    t3 = model.avg_third(data, theta)
-    skew_vec = np.einsum("ab,cd,bcd->a", J_inv, J_inv, t3)
-    pgrad = prior.log_grad(theta)
-    stats: Sequence[Statistic]
-    if f is None:
-        stats = identity_statistics(model.dim)
-    elif isinstance(f, Statistic):
-        stats = [f]
-    else:
-        stats = list(f)
-    out = np.empty(len(stats))
-    for i, s in enumerate(stats):
-        fg = s.grad(theta)
-        fh = s.hess(theta)
-        out[i] = (s.value(theta)
-                  + 0.5 / n * (np.einsum("ab,ab->", J_inv, fh)
-                               + 2.0 * fg @ J_inv @ pgrad)
-                  + 0.5 / n * fg @ skew_vec)
-    return out
+    stats = _statistics(f, model.dim)
+    if not all(isinstance(s, Statistic) for s in stats):
+        raise ValueError("Laplace needs Statistics, with grad and hess")
+    return _expansion(model, data, theta, "observed", prior.log_grad(theta),
+                      stats)
 
 
 def statistic_matching_residual(model: ModelSpec, prior_pm: PriorSpec,

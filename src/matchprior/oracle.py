@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (InvalidHyperparameter, MatchPriorError, NonFiniteInput,
                      TailNotDecaying, ToleranceNotMet)
 # mle is unused here; it stays importable because bench/tracing.py rebinds it
-from .estimators import LogPosterior, Statistic, _maximize, mle
+from .estimators import LogPosterior, _maximize, _statistics, mle
 from .models import Dataset, ModelSpec
 from .priors import PriorSpec, _komaki_shape
 
@@ -120,30 +120,17 @@ def _prepare(model: ModelSpec, data: Dataset, prior: PriorSpec, f):
         raise ToleranceNotMet("posterior density non-finite at the center point")
 
     lo, hi = log_weight.box
-    for i in range(d):
-        for sign in (-1.0, 1.0):
-            if sign < 0 and np.isfinite(lo[i]):
-                continue
-            if sign > 0 and np.isfinite(hi[i]):
-                continue
-            near = u0.copy()
-            far = u0.copy()
-            near[i] += sign * _PROBE_NEAR
-            far[i] += sign * _PROBE_FAR
-            wn, wf = log_weight.weight(near, ref), log_weight.weight(far, ref)
-            if wf > max(wn, 1e-3):
-                raise TailNotDecaying(
-                    f"integrand not decaying along coordinate {i} "
-                    f"(probe values {wn:.3g} -> {wf:.3g})")
+    for i, unit in enumerate(np.eye(d)):
+        for step, end in ((-unit, lo[i]), (unit, hi[i])):
+            if not np.isfinite(end):  # only an unbounded end has a tail
+                wn = log_weight.weight(u0 + _PROBE_NEAR * step, ref)
+                wf = log_weight.weight(u0 + _PROBE_FAR * step, ref)
+                if wf > max(wn, 1e-3):
+                    raise TailNotDecaying(
+                        f"integrand not decaying along coordinate {i} "
+                        f"(probe values {wn:.3g} -> {wf:.3g})")
 
-    if f is None:
-        fns = [(lambda th, j=j: float(th[j])) for j in range(d)]
-    elif isinstance(f, Statistic):
-        fns = [f.value]
-    elif callable(f):
-        fns = [f]
-    else:
-        fns = [s.value if isinstance(s, Statistic) else s for s in f]
+    fns = [getattr(s, "value", s) for s in _statistics(f, d)]
     return log_weight, u0, ref, fns, at_mode
 
 

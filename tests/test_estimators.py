@@ -320,14 +320,15 @@ def test_calibrate_singular_information():
                                  information="observed")
 
 
-def test_calibrate_prior_gap_flagged_experimental():
+def test_calibrate_prior_gap_adds_the_first_order_gap_term():
     y = np.array([2.0, 1.0, 3.0])
     data = mp.Dataset(y)
     pm = mp.gamma_prior(2.0, 1.0)
     mq = mp.gamma_prior(3.0, 1.0)
     res = mp.calibrate_pm_from_map(mp.PoissonRate(), data, np.array([2.0]),
                                    prior_gap=(pm, mq))
-    assert res.diagnostics["experimental"]
+    assert res.diagnostics["prior_gap"] == "gamma(2,1)|gamma(3,1)"
+    assert "experimental" not in res.diagnostics
     base = mp.calibrate_pm_from_map(mp.PoissonRate(), data, np.array([2.0]))
     gap = 2.0 * (pm.log_grad(np.array([2.0]))
                  - mq.log_grad(np.array([2.0])))[0] / 3
@@ -378,6 +379,49 @@ def test_laplace_accepts_custom_statistic():
     one = mp.laplace_posterior_expectation(model, data, mp.gamma_prior(1.0, 1.0),
                                            sq, mle_pt)
     assert one.shape == (1,) and one[0] == vals[0]
+
+
+def _expansion_cells():
+    rng = np.random.default_rng(11)
+    x = mp.experiments.logistic_design(64)
+    y = (rng.random(64) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+    cauchy = mp.MultivariateCauchyLocation(2)
+    return [
+        (mp.LogisticGLM(x), mp.Dataset(y, x), mp.normal_prior(0.0, 1.0)),
+        (mp.PoissonRate(), mp.Dataset(rng.poisson(3.0, size=40).astype(float)),
+         mp.gamma_prior(2.0, 1.0)),
+        (cauchy, cauchy.sample(np.zeros(2), 40, rng), mp.normal_prior(0.0, 100.0)),
+        (mp.GaussianKnownMeanPrecision(),
+         mp.Dataset(rng.normal(scale=0.7, size=40)), mp.gamma_prior(2.0, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("cell", range(4))
+def test_laplace_mean_is_observed_calibration_with_prior_gap(cell):
+    # the Laplace posterior mean at the MLE is the observed-information
+    # calibration of that point with the gap of the prior over a flat one
+    model, data, prior = _expansion_cells()[cell]
+    theta = mp.mle(model, data).point
+    lap = mp.laplace_posterior_expectation(model, data, prior, None, theta)
+    cal = mp.calibrate_pm_from_map(model, data, theta, information="observed",
+                                   prior_gap=(prior, mp.uniform_prior()))
+    np.testing.assert_allclose(lap, cal.point, rtol=1e-15, atol=0)
+
+
+def test_laplace_rejects_a_nonfinite_third_derivative():
+    # lambda^3 underflows at 1e-110, so the Poisson third derivative is -inf
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteLogDensity):
+        mp.laplace_posterior_expectation(mp.PoissonRate(),
+                                         mp.Dataset(np.array([1.0, 2.0])),
+                                         mp.gamma_prior(2, 1), None, [1e-110])
+
+
+def test_laplace_rejects_statistics_without_derivatives():
+    data = mp.Dataset(np.array([1.0, 2.0, 4.0]))
+    for f in (lambda t: float(t[0] ** 2), [lambda t: float(t[0] ** 2)]):
+        with pytest.raises(ValueError, match="grad and hess"):
+            mp.laplace_posterior_expectation(mp.PoissonRate(), data,
+                                             mp.gamma_prior(2, 1), f, [2.0])
 
 
 def test_statistic_matching_residual_square_statistic():
