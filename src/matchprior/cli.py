@@ -176,8 +176,10 @@ def estimate(model_name, prior_text, method, data_path, banknote, bound_lo,
     elif method == "map":
         res = map_estimate(model, data, prior, tol=tol, lower=bound_lo)
     elif method == "calibrate":
-        map_res = map_estimate(model, data, prior, tol=tol, lower=bound_lo)
-        res = calibrate_pm_from_map(model, data, map_res.point, lower=bound_lo)
+        # the bound the MAP search used, so a MAP on the prior's floor is caught
+        lower = prior.opt_lower if bound_lo is None else bound_lo
+        map_res = map_estimate(model, data, prior, tol=tol, lower=lower)
+        res = calibrate_pm_from_map(model, data, map_res.point, lower=lower)
         res.diagnostics["map_point"] = map_res.point
     else:
         mle_res = mle(model, data, tol=tol)

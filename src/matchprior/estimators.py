@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (BoundaryPoint, BoundaryStuck, IndefiniteHessian,
                      NonFiniteLogDensity, NotConverged)
-from .geometry import _invert_metric
+from .geometry import _Metric, _invert_metric
 from .models import (Dataset, ModelSpec, central_difference, check_point,
                      third_derivative_tensor)
 from .priors import MatchingPair, PriorSpec, matching_residual, uniform_prior
@@ -252,12 +252,11 @@ def _expansion(model, data, theta, information, grad_gap, stats=None):
     posterior-mean expansion about a mode, gap = grad_gap = d log(pm/map)
     (None: 0); with stats, each Statistic's f + f_a shift^a + g^{ab} f_ab / 2n."""
     if information == "fisher":
-        g = model.fisher(theta)
+        g_inv = _Metric(model, theta).g_inv
     elif information == "observed":
-        g = -model.avg_hess(data, theta)
+        g_inv = _invert_metric(-model.avg_hess(data, theta))
     else:
         raise ValueError(f"unknown information choice {information!r}")
-    g_inv = _invert_metric(g)
     skew = np.einsum("ab,cd,bcd->a", g_inv, g_inv,
                      third_derivative_tensor(model, data, theta))
     if stats is not None:

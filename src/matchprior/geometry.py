@@ -2,7 +2,10 @@
 
 Computes the Fisher metric, e/m/alpha-connection coefficients, the skewness
 tensor and its contraction, and the log-gradients of Jeffreys and
-alpha-parallel priors at a parameter point.
+alpha-parallel priors at a parameter point.  _Metric is the one record of a
+point's metric geometry: g, g^{-1}, T and dg, each formed once, which the
+analytic geometry_at, fisher_matrix_grad, the Jeffreys functions and the
+Fisher-metric calibration read.
 """
 
 from __future__ import annotations
@@ -74,16 +77,15 @@ def geometry_at(model: ModelSpec, theta, method: str = "analytic",
     """
     if method not in ("analytic", "mc"):
         raise ValueError(f"method must be 'analytic' or 'mc', got {method!r}")
-    theta = check_point(model, theta)
     if method == "analytic" and model.alpha is not None:
-        g = model.fisher(theta)
-        T = model.skewness(theta)
-        gamma_e = -0.5 * (1.0 - model.alpha) * T
-        gamma_m = 0.5 * (1.0 + model.alpha) * T
-        g_inv = _invert_metric(g)
-        T_a = np.einsum("abc,bc->a", T, g_inv)
-        return GeometryReport(g, g_inv, gamma_e, gamma_m, T, T_a, theta, "analytic")
+        at = _Metric(model, theta)
+        gamma_e = -0.5 * (1.0 - model.alpha) * at.T
+        gamma_m = 0.5 * (1.0 + model.alpha) * at.T
+        T_a = np.einsum("abc,bc->a", at.T, at.g_inv)
+        return GeometryReport(at.g, at.g_inv, gamma_e, gamma_m, at.T, T_a,
+                              at.theta, "analytic")
 
+    theta = check_point(model, theta)
     if seed is None:
         raise ValueError("monte-carlo geometry requires an explicit seed")
     rng = np.random.default_rng(seed)
@@ -117,19 +119,15 @@ def alpha_connection(report: GeometryReport, alpha: float) -> np.ndarray:
 def fisher_matrix_grad(model: ModelSpec, theta) -> np.ndarray:
     """d g_bc / d theta_a: Gamma^e_abc + Gamma^m_acb = alpha T_abc for a model
     with an alpha, else central differences of fisher."""
-    return _fisher_grad(model, check_point(model, theta))
+    return _Metric(model, theta).dg
 
 
-def _fisher_grad(model, theta):
-    if model.alpha is not None:
-        return model.alpha * model.skewness(theta)
-    return central_difference(model.fisher, theta, 1e-5, model.in_support)
-
-
-class _Jeffreys:
-    """log pi_J and its derivatives at one checked point.  g, g^{-1} and
-    dg = d_a g_bc are each formed once, on first use, so every quantity
-    raises what it would raise alone; fisher_hess is formed per log_hess."""
+class _Metric:
+    """The metric geometry of one checked point, g, g^{-1}, the skewness T
+    and dg = d_a g_bc (alpha T, or central differences of fisher when the
+    model has no alpha), and log pi_J with its derivatives.  Each of the four
+    is formed once, on first use, so every quantity raises what it would
+    raise alone; fisher_hess is formed per log_hess."""
 
     def __init__(self, model: ModelSpec, theta):
         self.model = model
@@ -145,8 +143,15 @@ class _Jeffreys:
         return _invert_metric(self.g)
 
     @cached_property
+    def T(self):
+        return self.model.skewness(self.theta)
+
+    @cached_property
     def dg(self):
-        return _fisher_grad(self.model, self.theta)
+        if self.model.alpha is not None:
+            return self.model.alpha * self.T
+        return central_difference(self.model.fisher, self.theta, 1e-5,
+                                  self.model.in_support)
 
     def log_density(self) -> float:
         sign, logdet = np.linalg.slogdet(self.g)
@@ -161,7 +166,7 @@ class _Jeffreys:
         d2g = self.model.fisher_hess(self.theta)
         if d2g is None:
             out = central_difference(
-                lambda th: _Jeffreys(self.model, th).log_grad(), self.theta,
+                lambda th: _Metric(self.model, th).log_grad(), self.theta,
                 1e-6, self.model.in_support)
             return 0.5 * (out + out.T)
         g_inv = self.g_inv
@@ -171,30 +176,9 @@ class _Jeffreys:
         return 0.5 * (hess + hess.T)
 
 
-class _JeffreysMemo:
-    """The _Jeffreys record of the last point asked for, keyed on the point's
-    shape and bytes, so the value, gradient and Hessian at one point share
-    one g, g^{-1} and dg.  One (key, record) pair is swapped in whole, so
-    threads sharing the memo never see a record under another point's key."""
-
-    def __init__(self, model: ModelSpec):
-        self.model = model
-        self._last = None
-
-    def __call__(self, theta) -> _Jeffreys:
-        arr = np.asarray(theta, dtype=float)
-        key = (arr.shape, arr.tobytes())
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        record = _Jeffreys(self.model, arr)
-        self._last = (key, record)
-        return record
-
-
 def jeffreys_log_grad(model: ModelSpec, theta) -> np.ndarray:
     """Gradient of log pi_J: (1/2) tr(g^{-1} d_a g) per coordinate."""
-    return _Jeffreys(model, theta).log_grad()
+    return _Metric(model, theta).log_grad()
 
 
 def jeffreys_log_hess(model: ModelSpec, theta) -> np.ndarray:
@@ -204,12 +188,12 @@ def jeffreys_log_hess(model: ModelSpec, theta) -> np.ndarray:
     when the model provides fisher_hess, else central differences of
     jeffreys_log_grad.
     """
-    return _Jeffreys(model, theta).log_hess()
+    return _Metric(model, theta).log_hess()
 
 
 def jeffreys_log_density(model: ModelSpec, theta) -> float:
     """log pi_J = (1/2) log det g (up to an additive constant)."""
-    return _Jeffreys(model, theta).log_density()
+    return _Metric(model, theta).log_density()
 
 
 def alpha_parallel_log_grad(report: GeometryReport, alpha: float) -> np.ndarray:

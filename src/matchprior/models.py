@@ -3,13 +3,15 @@
 Each model exposes the dataset-average log-likelihood (1/n) sum_t log p(y_t)
 together with its first, second, and third parameter derivatives, the
 per-observation scores and Hessians that Monte Carlo geometry averages, and
-the Fisher information of one observation.  All evaluators are functions of
-(data, theta) and safe to share across threads.  Every 2-D data array, a
-Dataset's and LogisticGLM's design, is a read-only column-major copy: the
-caller's array stays writable and never reaches what was cached, and each
-weighted sum over observations is one contiguous BLAS pass.  LogisticGLM
-keeps one record of the last point on its design, keyed on theta's bytes
-and swapped in whole, so a thread never reads another point's entry.
+the Fisher information of one observation.  A model reads dim response
+columns (LogisticGLM one), and data of another width is a ValueError.  All
+evaluators are functions of (data, theta) and safe to share across threads.
+Every 2-D data array, a Dataset's and LogisticGLM's design, is a read-only
+column-major copy: the caller's array stays writable and never reaches what
+was cached, and each weighted sum over observations is one contiguous BLAS
+pass.  _LastPoint is the one memo by theta: the record of the last point,
+keyed on theta's shape and bytes and swapped in whole, so a thread never
+reads another point's entry.  LogisticGLM keeps its design's records in one.
 """
 
 from __future__ import annotations
@@ -191,6 +193,20 @@ class ModelSpec:
         avg_grad and avg_hess.  Monte Carlo geometry needs it."""
         raise NotImplementedError(f"{type(self).__name__} has no per_obs_score_hess")
 
+    @property
+    def _width(self) -> int:
+        """Response columns per observation: one per coordinate."""
+        return self.dim
+
+    def _responses(self, data: Dataset) -> np.ndarray:
+        """data.responses; a ValueError unless it has _width columns."""
+        k, width = data.responses.shape[1], self._width
+        if k != width:
+            columns = "column" if width == 1 else "columns"
+            raise ValueError(f"{self.name} takes {width} response {columns}, "
+                             f"got {k}")
+        return data.responses
+
 
 def box_bounds(support) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (lo, hi) of the lower and upper ends of a list of (lo, hi) intervals."""
@@ -216,7 +232,6 @@ class GaussianKnownMeanPrecision(ModelSpec):
     """N(0, 1/theta) in the natural coordinate theta = 1/sigma^2.
 
     Natural exponential family with T(y) = -y^2/2 and psi(theta) = -(1/2) log theta.
-    A dataset with more than one response column is a ValueError.
     """
 
     dim = 1
@@ -234,10 +249,12 @@ class GaussianKnownMeanPrecision(ModelSpec):
         return np.array([0.5 / th - 0.5 * self._square_mean(data)])
 
     def avg_hess(self, data, theta):
+        self._responses(data)
         th = float(theta[0])
         return np.array([[-0.5 / th**2]])
 
     def avg_third(self, data, theta):
+        self._responses(data)
         th = float(theta[0])
         return np.array([[[1.0 / th**3]]])
 
@@ -266,13 +283,6 @@ class GaussianKnownMeanPrecision(ModelSpec):
     def default_init(self, data):
         return np.array([1.0 / max(self._square_mean(data), 1e-8)])
 
-    def _responses(self, data) -> np.ndarray:
-        """data.responses; a ValueError unless it has exactly one column."""
-        k = data.responses.shape[1]
-        if k != 1:
-            raise ValueError(f"{self.name} takes 1 response column, got {k}")
-        return data.responses
-
     def _square_mean(self, data) -> float:
         self._responses(data)
         return data.response_square_mean[0]
@@ -290,22 +300,22 @@ class PoissonSequence(ModelSpec):
 
     def avg_loglik(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        return float(data.response_mean @ np.log(lam) - np.sum(lam)
+        return float(self._mean(data) @ np.log(lam) - np.sum(lam)
                      - data.log_factorial_mean)
 
     def avg_grad(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        return data.response_mean / lam - 1.0
+        return self._mean(data) / lam - 1.0
 
     def avg_hess(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        return np.diag(-data.response_mean / lam**2)
+        return np.diag(-self._mean(data) / lam**2)
 
     def avg_third(self, data, theta):
         lam = np.asarray(theta, dtype=float)
         out = np.zeros((self.dim,) * 3)
         idx = np.arange(self.dim)
-        out[idx, idx, idx] = 2.0 * data.response_mean / lam**3
+        out[idx, idx, idx] = 2.0 * self._mean(data) / lam**3
         return out
 
     def fisher(self, theta):
@@ -328,7 +338,7 @@ class PoissonSequence(ModelSpec):
 
     def per_obs_score_hess(self, data, theta):
         lam = np.asarray(theta, dtype=float)
-        y = data.responses
+        y = self._responses(data)
         return y / lam - 1.0, -(y / lam**2)[:, :, None] * np.eye(self.dim)
 
     def sample(self, theta, n, rng):
@@ -336,7 +346,15 @@ class PoissonSequence(ModelSpec):
         return Dataset(rng.poisson(lam, size=(n, self.dim)).astype(float))
 
     def default_init(self, data):
-        return np.maximum(data.response_mean, 0.1)
+        start = np.maximum(data.response_mean, 0.1)
+        if start.shape != (self.dim,):
+            # as wide as the data: named by the parameter length expected
+            check_point(self, start)
+        return start
+
+    def _mean(self, data) -> np.ndarray:
+        self._responses(data)
+        return data.response_mean
 
 
 class PoissonRate(PoissonSequence):
@@ -344,6 +362,26 @@ class PoissonRate(PoissonSequence):
 
     def __init__(self):
         super().__init__(dim=1)
+
+
+class _LastPoint:
+    """The record build(theta) of the last point asked for, keyed on theta's
+    shape and bytes.  One (key, record) pair is swapped in whole, so threads
+    sharing the memo never read a record under another point's key."""
+
+    def __init__(self, build):
+        self._build = build
+        self._last = None
+
+    def __call__(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        key = (theta.shape, theta.tobytes())
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        record = self._build(theta)
+        self._last = (key, record)
+        return record
 
 
 class _Outer:
@@ -405,6 +443,7 @@ class LogisticGLM(ModelSpec):
     """
 
     alpha = 1.0
+    _width = 1  # one 0/1 response, whatever the design's width
 
     def __init__(self, design):
         self.design = _read_only(np.atleast_2d(np.asarray(design, dtype=float)),
@@ -412,12 +451,16 @@ class LogisticGLM(ModelSpec):
         self.dim = _dimension(self.design.shape[1])
         self.name = f"logistic-{self.dim}"
         self.support = [(-np.inf, np.inf)] * self.dim
-        # (n, d*d), not n d^3: a Jeffreys-partner MAP reads it every step
-        self._outer = _Outer(self.design)
-        self._last = None
+        # (n, d*d), not n d^3: a Jeffreys-partner MAP reads it every step;
+        # the memo holds the design and this holder, never the model
+        design, outer = self.design, _Outer(self.design)
+        self._outer = outer
+        self._last = _LastPoint(lambda th: _LogitPoint(design, th, outer))
         self._seen = None
 
     def _design_for(self, data):
+        """The design data's covariates name, after the response check."""
+        self._responses(data)
         x = data.covariates
         if x is None:
             if data.n != self.design.shape[0]:
@@ -431,18 +474,10 @@ class LogisticGLM(ModelSpec):
         return self.design if seen[1] else x
 
     def _at(self, x, theta) -> _LogitPoint:
-        """The record at (x, theta).  Only the design's is kept, for the last
-        point, and swapped in whole, so threads never mix two points."""
-        theta = np.asarray(theta, dtype=float)
-        if x is not self.design:
-            return _LogitPoint(x, theta, _Outer(x))
-        key = (theta.shape, theta.tobytes())
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        point = _LogitPoint(x, theta, self._outer)
-        self._last = (key, point)
-        return point
+        """The record at (x, theta); only the design's last one is kept."""
+        if x is self.design:
+            return self._last(theta)
+        return _LogitPoint(x, np.asarray(theta, dtype=float), _Outer(x))
 
     def avg_loglik(self, data, theta):
         # sum_i softplus(eta_i) = sum_i max(eta_i, 0) + log1p(e_i)
@@ -490,6 +525,7 @@ class LogisticGLM(ModelSpec):
         return Dataset(y[:, None], self.design)
 
     def default_init(self, data):
+        self._responses(data)
         return np.zeros(self.dim)
 
 
@@ -507,19 +543,19 @@ class MultivariateCauchyLocation(ModelSpec):
                            - self.dim * np.log(np.pi))
 
     def avg_loglik(self, data, theta):
-        u = data.responses - np.asarray(theta, dtype=float)
+        u = self._responses(data) - np.asarray(theta, dtype=float)
         r2 = np.sum(u * u, axis=1)
         return float(self._log_const
                      - 0.5 * (self.dim + 1) * np.mean(np.log1p(r2)))
 
     def avg_grad(self, data, theta):
-        u = data.responses - np.asarray(theta, dtype=float)
+        u = self._responses(data) - np.asarray(theta, dtype=float)
         denom = 1.0 + np.sum(u * u, axis=1)
         return (self.dim + 1) * np.mean(u / denom[:, None], axis=0)
 
     def avg_hess(self, data, theta):
         # mean of (-I D + 2 u u') / D^2 with D = 1 + |u|^2, as rank-1 sums
-        u = data.responses - np.asarray(theta, dtype=float)
+        u = self._responses(data) - np.asarray(theta, dtype=float)
         denom = 1.0 + np.sum(u * u, axis=1)
         r = u / denom[:, None]
         h = 2.0 * (r.T @ r) / data.n
@@ -528,7 +564,7 @@ class MultivariateCauchyLocation(ModelSpec):
 
     def avg_third(self, data, theta):
         # mean of -2 sym(I x u) / D^2 + 8 u x u x u / D^3
-        u = data.responses - np.asarray(theta, dtype=float)
+        u = self._responses(data) - np.asarray(theta, dtype=float)
         denom = 1.0 + np.sum(u * u, axis=1)
         r = u / denom[:, None]
         v = np.mean(r / denom[:, None], axis=0)
@@ -554,7 +590,7 @@ class MultivariateCauchyLocation(ModelSpec):
         return Dataset(np.asarray(theta, dtype=float) + z / np.sqrt(w)[:, None])
 
     def per_obs_score_hess(self, data, theta):
-        u = data.responses - np.asarray(theta, dtype=float)
+        u = self._responses(data) - np.asarray(theta, dtype=float)
         denom = 1.0 + np.sum(u * u, axis=1)
         score = (self.dim + 1) * u / denom[:, None]
         eye = np.eye(self.dim)
@@ -564,7 +600,7 @@ class MultivariateCauchyLocation(ModelSpec):
         return score, hess
 
     def default_init(self, data):
-        return np.median(data.responses, axis=0)
+        return np.median(self._responses(data), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +610,10 @@ class MultivariateCauchyLocation(ModelSpec):
 def third_derivative_tensor(model: ModelSpec, data: Dataset, theta) -> np.ndarray:
     """(1/n) sum of third log-density derivatives; fully symmetric rank-3 tensor."""
     theta = check_point(model, theta)
-    t = model.avg_third(data, theta)
+    # the check catches every non-finite entry; a warning on the way there
+    # (1 / lambda^3 underflowing to 1 / 0, say) must not pre-empt it
+    with np.errstate(all="ignore"):
+        t = model.avg_third(data, theta)
     if not np.all(np.isfinite(t)):
         raise NonFiniteLogDensity(f"third derivative tensor non-finite at {theta}")
     return t

@@ -218,7 +218,7 @@ def _trapezoid(log_weight: _LogWeight, centre, top, fns, spec: QuadratureSpec):
         values = total[1:] / total[0]
         if prev is not None:
             gap = np.abs(values - prev[1])
-            if (abs(z - prev[0]) <= spec.abs_tol
+            if (abs(z - prev[0]) <= spec.abs_tol * z
                     and np.all(gap <= np.maximum(spec.abs_tol,
                                                  _EPSREL * np.abs(values)))):
                 tail = np.sum(np.abs(tails), axis=0)

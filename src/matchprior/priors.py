@@ -17,9 +17,9 @@ import numpy as np
 from .errors import FamilyMismatch, InvalidHyperparameter, SupportMismatch
 # jeffreys_log_density and jeffreys_log_grad stay importable from here:
 # bench/tracing.py rebinds them under these names
-from .geometry import (_JeffreysMemo, alpha_parallel_log_grad, geometry_at,
+from .geometry import (_Metric, alpha_parallel_log_grad, geometry_at,
                        jeffreys_log_density, jeffreys_log_grad)
-from .models import ModelSpec, box_bounds, in_open_box
+from .models import ModelSpec, _LastPoint, box_bounds, in_open_box
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def jeffreys_prior(model: ModelSpec) -> PriorSpec:
     was asked about, so its value, gradient and Hessian there (as a MAP
     search asks for them) form g, g^{-1} and dg once; the numbers are those
     of jeffreys_log_density, jeffreys_log_grad and jeffreys_log_hess."""
-    at = _JeffreysMemo(model)
+    at = _LastPoint(lambda th: _Metric(model, th))
     return PriorSpec("jeffreys",
                      lambda th: at(th).log_density(),
                      lambda th: at(th).log_grad(),

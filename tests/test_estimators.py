@@ -416,6 +416,18 @@ def test_laplace_rejects_a_nonfinite_third_derivative():
                                          mp.gamma_prior(2, 1), None, [1e-110])
 
 
+def test_nonfinite_third_derivative_is_the_library_error():
+    # no errstate here: the divide-by-zero warning of 1 / lambda^3 = 1 / 0
+    # is an error under the test configuration, and must not come first
+    data = mp.Dataset(np.array([1.0, 2.0]))
+    with pytest.raises(NonFiniteLogDensity):
+        mp.laplace_posterior_expectation(mp.PoissonRate(), data,
+                                         mp.gamma_prior(2, 1), None, [1e-110])
+    with pytest.raises(NonFiniteLogDensity):
+        mp.calibrate_pm_from_map(mp.PoissonRate(), data, [1e-110],
+                                 information="observed")
+
+
 def test_laplace_rejects_statistics_without_derivatives():
     data = mp.Dataset(np.array([1.0, 2.0, 4.0]))
     for f in (lambda t: float(t[0] ** 2), [lambda t: float(t[0] ** 2)]):

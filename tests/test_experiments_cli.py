@@ -470,6 +470,19 @@ def test_cli_malformed_input_is_a_usage_error(args, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_calibrate_rejects_a_map_on_the_prior_floor(tmp_path):
+    # the MAP search stops at the komaki floor 0.001 on the first rate; the
+    # calibration must check that bound whether or not --bounds names it
+    data = tmp_path / "counts.csv"
+    data.write_text("y1,y2,y3\n0,3,0\n0,2,1\n")
+    args = ["estimate", "--model", "poisson-seq:3", "--prior",
+            "komaki(0.5,1,0.001)", "--method", "calibrate", "--data", str(data)]
+    for extra in ([], ["--bounds", "0.001"]):
+        res = CliRunner().invoke(main, args + extra)
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("Error: BoundaryPoint: ")
+
+
 @pytest.mark.parametrize("args", [
     ["estimate", "--model", "poisson", "--prior", "gamma(-1,1)", "--method",
      "map", "--data", "DATA"],

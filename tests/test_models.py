@@ -236,6 +236,48 @@ def test_gaussian_precision_rejects_a_second_response_column():
     assert res.point[0] == pytest.approx(4.0 / 7.0, rel=1e-10)
 
 
+_X3 = np.column_stack([np.linspace(-1.0, 1.0, 3), np.ones(3)])
+_WIDTH_CASES = {
+    # model, data of another response width, prior, point, message
+    "gaussian-precision": (
+        mp.GaussianKnownMeanPrecision(),
+        mp.Dataset([[1.0, 100.0], [2.0, 300.0], [0.5, 2.0]]),
+        mp.gamma_prior(2, 1), [0.5], "takes 1 response column, got 2"),
+    "poisson-seq-3": (
+        mp.PoissonSequence(3), mp.Dataset([1.0, 2.0, 3.0]),
+        mp.gamma_prior(2, 1), [1.0, 2.0, 3.0], "takes 3 response columns, got 1"),
+    "logistic": (
+        mp.LogisticGLM(_X3), mp.Dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], _X3),
+        mp.normal_prior(0, 1), [0.2, -0.1], "takes 1 response column, got 2"),
+    "cauchy-2": (
+        mp.MultivariateCauchyLocation(2), mp.Dataset([1.0, 2.0, 3.0]),
+        mp.normal_prior(0, 100), [0.1, 0.2], "takes 2 response columns, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WIDTH_CASES))
+def test_models_reject_data_of_another_response_width(case):
+    # each model takes dim response columns, LogisticGLM one; one column
+    # broadcast to three Poisson rates or two Cauchy coordinates, or the first
+    # of two logistic columns read alone, would give numbers
+    model, data, prior, theta, match = _WIDTH_CASES[case]
+    theta = np.array(theta)
+    calls = [lambda name=name: getattr(model, name)(data, theta)
+             for name in ("avg_loglik", "avg_grad", "avg_hess", "avg_third",
+                          "per_obs_score_hess")]
+    calls += [lambda: mp.map_estimate(model, data, prior, init=theta),
+              lambda: mp.calibrate_pm_from_map(model, data, theta),
+              lambda: mp.calibrate_pm_from_map(model, data, theta,
+                                               information="observed")]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{model.name} {match}$"):
+            call()
+    # a Poisson start is as wide as the data, and the parameter length is
+    # what its check names
+    with pytest.raises(ValueError):
+        model.default_init(data)
+
+
 def test_dataset_arrays_are_read_only_views():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = np.ones((2, 3))

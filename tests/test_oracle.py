@@ -233,6 +233,18 @@ def test_fast_path_komaki_closed_form(counts, n, alpha, abs_tol, no_quadpack):
     assert np.all(np.abs(v - exact) < 1e-10) and np.all(err < 1e-10)
 
 
+def test_fast_path_d3_poisson_sequence_closed_form(no_quadpack):
+    # three independent Gamma(2 + S_j, 11) posteriors; z ~ (2 pi)^(3/2) moves
+    # by more than abs_tol between the last two levels while the means agree
+    # to below it, so the normaliser test must be relative
+    y = np.tile([2.3, 2.6, 2.8], (10, 1))
+    v, err = mp.quad_posterior_expectation(
+        mp.PoissonSequence(3), mp.Dataset(y), mp.gamma_prior(2, 1),
+        spec=QuadratureSpec(abs_tol=1e-6))
+    exact = (2.0 + y.sum(axis=0)) / 11.0
+    assert np.all(np.abs(v - exact) <= err) and np.all(err < 1e-5)
+
+
 def test_fast_path_d2_within_quadpack_bounds(monkeypatch):
     n = 24
     design = np.column_stack([np.arange(1, n + 1) / n, np.ones(n)])
