@@ -292,9 +292,19 @@ def calibrate_pm_from_map(model: ModelSpec, data: Dataset, map_est,
     Valid as stated when the posterior-mean and MAP priors coincide;
     prior_gap=(pm, map) adds the paper's first-order gap term
     (1/n) g^{ab} d_b log(pm/map).  information picks g: "fisher" (the
-    model's Fisher metric) or "observed" (minus the average Hessian).  A MAP
-    within 1e-10 of lower (a scalar or per-coordinate array) is BoundaryPoint.
+    model's Fisher metric) or "observed" (minus the average Hessian).
+
+    map_est is map_estimate's EstimateResult or a bare point.  A result
+    whose search ended on its bound (diagnostics["bound_active"]) is
+    BoundaryPoint; a bare point carries no bound, so only lower (a scalar or
+    per-coordinate array) is checked: a MAP within 1e-10 of it is
+    BoundaryPoint.
     """
+    if isinstance(map_est, EstimateResult):
+        if map_est.diagnostics.get("bound_active"):
+            raise BoundaryPoint("MAP search ended on its lower bound; "
+                                "calibration invalid")
+        map_est = map_est.point
     theta = check_point(model, np.asarray(map_est, dtype=float))
     if lower is not None and np.any(theta <= np.asarray(lower, float) + 1e-10):
         raise BoundaryPoint("MAP estimate pinned to a bound; calibration invalid")

@@ -284,39 +284,46 @@ def _pg_devroye(rng, z):
     """Exact PG(1, z) draws for a finite float array z (Devroye-type scheme).
 
     A pass over the open slots takes one (3, k) block of uniforms; a slot
-    that fails the series test goes into the next pass.
+    that fails the series test goes into the next pass.  When every z is 0,
+    as in a pool refill, the per-slot arrays are the z = 0 scalars: no tilt
+    on the series uniform and no IG slots.
     """
-    half = np.abs(z) * 0.5
-    tilt = 0.5 * half * half
-    fz = tilt + np.pi**2 / 8.0
-    pexp = _pg_mass_untilted(fz)
-    high = (half >= 1.0 / _PG_TRUNC).nonzero()[0]
-    if high.size:
-        pexp[high] = _pg_mass_texpon(half[high], fz[high])
-        tilt[high] = 0.0
+    size, high, tilt = z.size, (), None
+    fz, pexp = np.pi**2 / 8.0, _PG_PEXP_ZERO
+    # z.z is 0 only if every tilt z^2/8 underflows to 0 (a cheaper test
+    # than z.any()), and then the z = 0 scalars give the same draws
+    if z.dot(z):
+        half = np.abs(z) * 0.5
+        tilt = 0.5 * half * half
+        fz = tilt + fz
+        pexp = _pg_mass_untilted(fz)
+        high = (half >= 1.0 / _PG_TRUNC).nonzero()[0]
+        if high.size:
+            pexp[high] = _pg_mass_texpon(half[high], fz[high])
     out = pending = None
     # the per-slot arrays shrink with pending, so a pass indexes only them
     while True:
-        u = rng.random((3, half.size))
+        u = rng.random((3, size))
         # u is a multiple of 2^-53, so 1 - u is exact and lies in (0, 1]:
         # neither log nor ndtri sees 0
         v = 1.0 - u[1]
         x = _PG_TRUNC - np.log(v) / fz
         w = u[2]
-        left = (u[0] >= pexp).nonzero()[0]
-        if left.size:
-            levy = left
-            if high.size:
-                ig = half[left] >= 1.0 / _PG_TRUNC
-                levy, ig = left[~ig], left[ig]
+        levy = (u[0] >= pexp).nonzero()[0]
+        if levy.size:
+            if len(high):
+                ig = half[levy] >= 1.0 / _PG_TRUNC
+                levy, ig = levy[~ig], levy[ig]
                 if ig.size:
                     x[ig] = _rtigauss(rng, half[ig])
-            # the untilted Levy proposal: its series uniform carries the
+            # the untilted Levy proposal, whose quantile is below
+            # -1/sqrt(t), so 1/q^2 is finite: its series uniform carries the
             # factor e^{tilt x}, so the test accepts with probability
             # e^{-z^2 x/2} f(x) / a_0(x)
             q = ndtri(v[levy] * _PG_LEVY_MASS)
             x[levy] = xl = 1.0 / (q * q)
-            w[levy] *= np.exp(tilt[levy] * xl)
+            if tilt is not None:
+                w[levy] *= np.exp(tilt[levy] * xl)
         rejected = _pg_series_rejects(x, w)
         x *= 0.25
         # a pass writes every slot it drew; the next pass overwrites those
@@ -328,33 +335,10 @@ def _pg_devroye(rng, z):
             pending = pending[rejected]
         if not rejected.size:
             return out
-        half, fz, tilt, pexp = (half[rejected], fz[rejected],
-                                tilt[rejected], pexp[rejected])
-
-
-def _pg_devroye_zero(rng, size):
-    """_pg_devroye(rng, np.zeros(size)) with the z = 0 constants hoisted:
-    the same uniforms and float operations on each slot, so the same values
-    and generator state, without the per-slot tilt arrays."""
-    out = pending = None
-    while True:
-        u = rng.random((3, size))
-        v = 1.0 - u[1]
-        x = _PG_TRUNC - np.log(v) / (np.pi**2 / 8.0)
-        # the Levy quantile is below -1/sqrt(t), so 1/q^2 is finite
-        levy = (u[0] >= _PG_PEXP_ZERO).nonzero()[0]
-        q = ndtri(v[levy] * _PG_LEVY_MASS)
-        x[levy] = 1.0 / (q * q)
-        rejected = _pg_series_rejects(x, u[2])
-        x *= 0.25
-        if out is None:
-            out, pending = x, rejected
-        else:
-            out[pending] = x
-            pending = pending[rejected]
-        if not rejected.size:
-            return out
         size = rejected.size
+        if tilt is not None:
+            half, fz, tilt, pexp = (half[rejected], fz[rejected],
+                                    tilt[rejected], pexp[rejected])
 
 
 class PGPool:
@@ -363,8 +347,8 @@ class PGPool:
     PG(1, z) has density cosh(z/2) e^{-z^2 w/2} p_0(w), p_0 the PG(1, 0)
     density, so an entry w with its Exp(1) variate E is a PG(1, z) draw when
     E >= z^2 w/2, which happens with probability 1/cosh(z/2).  Entries come
-    from _pg_devroye_zero on the chain's generator, _PG_POOL_BLOCK at a
-    time.
+    from _pg_devroye at z = 0 on the chain's generator, _PG_POOL_BLOCK at
+    a time.
     """
 
     def __init__(self, rng):
@@ -378,7 +362,7 @@ class PGPool:
         short = start + k - self._omega.size
         if short > 0:
             size = -(-short // _PG_POOL_BLOCK) * _PG_POOL_BLOCK
-            w = _pg_devroye_zero(self.rng, size)
+            w = _pg_devroye(self.rng, np.zeros(size))
             ratio = self.rng.standard_exponential(size) / w
             self._omega = np.concatenate((self._omega[start:], w))
             self._ratio = np.concatenate((self._ratio[start:], ratio))

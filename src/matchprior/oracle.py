@@ -1,10 +1,10 @@
 """Ground-truth posterior expectations for low-dimensional models.
 
 A trapezoid grid about the posterior mode, with adaptive quadrature
-(Gauss-Kronrod via QUADPACK) behind it, plus closed conjugate forms, used to
-validate samplers, Laplace expansions, and calibration.  QUADPACK's module,
-scipy.integrate, loads on the first call to quad, not at import: only the
-fallback and priors.matching_pair_1d call it.
+(Gauss-Kronrod via QUADPACK) behind it at d <= 2, plus closed conjugate
+forms, used to validate samplers, Laplace expansions, and calibration.
+QUADPACK's module, scipy.integrate, loads on the first call to quad, not at
+import: only the fallback and priors.matching_pair_1d call it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _MAX_SUBDIVISIONS = 200  # QUADPACK's interval limit per integral
 _CENTRE_TOL = 1e-6       # scaled gradient norm at which the mode search stops
 # the trapezoid grid; its lengths are in Laplace standard deviations
 _GRID_LEVELS = 6
-_GRID_NODES = 50_000     # evaluations before QUADPACK takes over
+_GRID_NODES = 50_000     # evaluations before the grid gives up
 _GRID_RADIUS = 40.0      # a walk not negligible this far out meets a heavy tail
 _NEGLIGIBLE = 1e-3       # a node's mass, relative to the centre's, per abs_tol
 
@@ -300,9 +300,11 @@ def quad_posterior_expectation(model: ModelSpec, data: Dataset,
     Laplace covariance answers first.  When the search fails, or the grid
     cannot vouch for its sums (no negative definite Hessian at the mode, a
     heavy tail, or no convergence within its node budget), nested QUADPACK,
-    whose cost grows steeply with dimension, does, split at the same centre.
-    Each error bound is the last change between two grid levels plus the
-    truncated mass, or QUADPACK's own estimate.
+    whose cost grows steeply with dimension, does at d <= 2, split at the
+    same centre.  At d = 3 it can run for minutes, so there the oracle
+    raises ToleranceNotMet instead.  Each error bound is the last change
+    between two grid levels plus the truncated mass, or QUADPACK's own
+    estimate.
     """
     spec = spec or QuadratureSpec()
     log_weight, u0, ref, fns, at_mode = _prepare(model, data, prior, f)
@@ -311,6 +313,12 @@ def quad_posterior_expectation(model: ModelSpec, data: Dataset,
             return _trapezoid(log_weight, u0, ref, fns, spec)
         except _NoFastPath:
             pass
+    if model.dim == 3:
+        why = ("the mode search failed" if not at_mode else
+               "the trapezoid grid could not vouch for its sums "
+               f"(node budget {_GRID_NODES})")
+        raise ToleranceNotMet(f"dimension 3: {why}, and there is no "
+                              "QUADPACK fallback at d = 3")
     return _quadpack(log_weight, u0, ref, fns, spec)
 
 

@@ -13,6 +13,7 @@ from matchprior.errors import (BoundaryPoint, BoundaryStuck,
 from matchprior.estimators import (LogPosterior, Statistic,
                                    _newton_direction, coordinate_statistic)
 from matchprior.experiments import _shrinkage_inputs, shrinkage_rates
+from matchprior.priors import parse_prior
 
 
 def test_mle_poisson_is_sample_mean():
@@ -311,6 +312,24 @@ def test_calibrate_boundary_point_rejected():
         mp.calibrate_pm_from_map(mp.PoissonRate(), data, np.array([1e-3]),
                                  lower=np.array([1e-3]))
 
+
+
+def test_calibrate_takes_a_map_result_and_its_bound():
+    # the MAP under komaki's floor 0.001 ends on the floor; given the bare
+    # point and no lower, calibration cannot know the bound and answers
+    model = mp.PoissonSequence(3)
+    data = mp.Dataset(np.array([[0.0, 3.0, 0.0], [0.0, 2.0, 1.0]]))
+    pinned = mp.map_estimate(model, data,
+                             parse_prior("komaki(0.5,1,0.001)", model))
+    assert pinned.diagnostics["bound_active"] and pinned.point[0] == 1e-3
+    with pytest.raises(BoundaryPoint):
+        mp.calibrate_pm_from_map(model, data, pinned)
+    # an interior MAP calibrates the same from its result as from its point
+    res = mp.map_estimate(model, data, mp.gamma_prior(2, 1))
+    assert not res.diagnostics["bound_active"]
+    assert np.array_equal(mp.calibrate_pm_from_map(model, data, res).point,
+                          mp.calibrate_pm_from_map(model, data,
+                                                   res.point).point)
 
 def test_calibrate_singular_information():
     # observed information vanishes for a zero-count Poisson at any rate

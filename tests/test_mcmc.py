@@ -233,14 +233,66 @@ def test_polya_gamma_rejects_nonfinite_z_before_drawing():
     assert issubclass(NonFiniteInput, MatchPriorError)
 
 
-@pytest.mark.parametrize("size", [1, 5, 4096, 3 * 4096])
-def test_pg_zero_refill_matches_devroye(size):
-    # the pool's refill body is _pg_devroye at z = 0 with its constants
-    # hoisted: the same values and the same generator state after the call
-    rng, rng2 = np.random.default_rng(size), np.random.default_rng(size)
-    assert np.array_equal(mcmc._pg_devroye_zero(rng, size),
-                          mcmc._pg_devroye(rng2, np.zeros(size)))
-    assert rng.bit_generator.state == rng2.bit_generator.state
+# a pool refill's z = 0 draws: sum, first and last value and the PCG64 state
+# after them, recorded from the refill's own copy of the pass loop before
+# _pg_devroye took refills over; 4096 and 3 * 4096 are one and three blocks
+_PG_ZERO_PINNED = {
+    1: (0.7689503385426159, 0.7689503385426159, 0.7689503385426159,
+        236658695069053534921881806884699931691),
+    5: (2.1540145081962394, 0.10921801633594012, 1.5990606535554373,
+        258231481655682701799766420152383874717),
+    4096: (1014.5193655134531, 0.4377479625401206, 0.13169866220895252,
+           37490213452930002587930176967665462290),
+    3 * 4096: (3088.8344111678134, 0.21104437294381279, 0.12787747409057523,
+               230044490909428000540264257323334556900)}
+
+
+@pytest.mark.parametrize("size", sorted(_PG_ZERO_PINNED))
+def test_pg_zero_stream_is_pinned(size):
+    rng = np.random.default_rng(size)
+    draws = mcmc._pg_devroye(rng, np.zeros(size))
+    total, first, last, state = _PG_ZERO_PINNED[size]
+    np.testing.assert_allclose([draws.sum(), draws[0], draws[-1]],
+                               [total, first, last], rtol=1e-12)
+    assert rng.bit_generator.state["state"]["state"] == state
+
+
+# Gibbs chains across pool refills: samples.sum() and the PCG64 state after
+# the chain, recorded before _pg_devroye took refills over.  Seed 41 on the
+# n = 512 chain refills 6 times; on the n = 16 chain it refills once and runs
+# 3 Devroye sweeps
+_PG_REFILL_CHAINS_PINNED = {
+    (512, 20): (21.978263705447105, 6, 0,
+                21758486176916866750215687294719175827),
+    (16, 40): (14.816661365050312, 1, 3,
+               8544181507858323928230975420173107161)}
+
+
+@pytest.mark.parametrize("n, length", sorted(_PG_REFILL_CHAINS_PINNED))
+def test_pg_gibbs_chain_across_refills_is_pinned(monkeypatch, n, length):
+    sources, zero_calls = [], []
+    draw, devroye = mcmc.polya_gamma_1, mcmc._pg_devroye
+
+    def draw_spy(source, z):
+        sources.append(source)
+        return draw(source, z)
+
+    def devroye_spy(rng, z):
+        # a call whose z is all zero is a pool refill
+        zero_calls.append(not np.any(z))
+        return devroye(rng, z)
+
+    monkeypatch.setattr(mcmc, "polya_gamma_1", draw_spy)
+    monkeypatch.setattr(mcmc, "_pg_devroye", devroye_spy)
+    y = logistic_scenario_data(1, n, np.random.default_rng(5))
+    chain = mp.polya_gamma_gibbs(logistic_design(n), y, mp.normal_prior(0, 1),
+                                 ChainConfig(length=length, burnin=length,
+                                             seed=41))
+    total, refills, sweeps, state = _PG_REFILL_CHAINS_PINNED[n, length]
+    assert (sum(zero_calls), zero_calls.count(False)) == (refills, sweeps)
+    assert all(s is sources[0] for s in sources)
+    assert chain.samples.sum() == pytest.approx(total, rel=1e-12)
+    assert sources[0].rng.bit_generator.state["state"]["state"] == state
 
 
 def test_pg_pool_hands_out_each_entry_once():

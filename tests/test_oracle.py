@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,28 @@ def test_fast_path_d3_poisson_sequence_closed_form(no_quadpack):
     exact = (2.0 + y.sum(axis=0)) / 11.0
     assert np.all(np.abs(v - exact) <= err) and np.all(err < 1e-5)
 
+
+
+def test_d3_grid_failure_is_tolerance_not_met(no_quadpack):
+    # at the default abs_tol the grid needs more than its node budget here,
+    # and nested QUADPACK at d = 3 ran for minutes: the oracle says so fast
+    y = np.tile([2.3, 2.6, 2.8], (10, 1))
+    start = time.perf_counter()
+    with pytest.raises(ToleranceNotMet, match="dimension 3: .*budget 50000"):
+        mp.quad_posterior_expectation(mp.PoissonSequence(3), mp.Dataset(y),
+                                      mp.gamma_prior(2, 1))
+    assert time.perf_counter() - start < 10.0
+
+
+def test_d3_failed_mode_search_is_tolerance_not_met(monkeypatch, no_quadpack):
+    def fail(*args, **kwargs):
+        raise IndefiniteHessian("no mode")
+
+    monkeypatch.setattr(oracle, "_maximize", fail)
+    y = np.tile([2.3, 2.6, 2.8], (10, 1))
+    with pytest.raises(ToleranceNotMet, match="dimension 3: the mode search"):
+        mp.quad_posterior_expectation(mp.PoissonSequence(3), mp.Dataset(y),
+                                      mp.gamma_prior(2, 1))
 
 def test_fast_path_d2_within_quadpack_bounds(monkeypatch):
     n = 24
