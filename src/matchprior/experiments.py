@@ -241,7 +241,7 @@ def _logistic_cell(scenario, n, rep, config: ExperimentConfig):
 
 
 def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
-    """Gap study: ridge MAP and matching-pair MAP against the Rao-Blackwellized
+    """Gap study: ridge MAP and matching-pair MAP against the zero-variance
     Gibbs posterior mean, across the n grid.  Scenario 1 is random Bernoulli
     data, scenario 2 a deterministic misspecified split."""
     if not config.n_grid:
@@ -251,7 +251,7 @@ def run_logistic_synthetic(scenario: int, config: ExperimentConfig) -> Path:
             for row in _logistic_cell(scenario, n, rep, config)]
     return _write_outputs(config, rows,
                           {"scenario": scenario, "reference": "pm-gibbs",
-                           "reference_estimator": "rao-blackwell"},
+                           "reference_estimator": "zero-variance"},
                           ["dim"] if scenario == 1 else ["dim", "reps"])
 
 

@@ -518,11 +518,15 @@ class LogisticGLM(ModelSpec):
         return score, -(p * (1.0 - p))[:, None, None] * x[:, :, None] * x[:, None, :]
 
     def sample(self, theta, n, rng):
-        if n != self.design.shape[0]:
-            raise ValueError("sample size must match the stored design")
-        p = sigmoid(self.design @ np.asarray(theta, dtype=float))
+        """n responses on the design's rows, or, for any other n, on n rows
+        drawn from the design uniformly with replacement: the design's
+        empirical distribution, over which fisher and skewness average."""
+        x = self.design
+        if n != x.shape[0]:
+            x = x[rng.integers(x.shape[0], size=n)]
+        p = sigmoid(x @ np.asarray(theta, dtype=float))
         y = (rng.random(n) < p).astype(float)
-        return Dataset(y[:, None], self.design)
+        return Dataset(y[:, None], x)
 
     def default_init(self, data):
         self._responses(data)

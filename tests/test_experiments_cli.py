@@ -111,7 +111,7 @@ def test_logistic_run_outputs_and_determinism(tmp_path):
     assert (out1 / "summary.csv").exists()
     meta = json.loads((out1 / "meta.json").read_text())
     assert meta["reference"] == "pm-gibbs"
-    assert meta["reference_estimator"] == "rao-blackwell"
+    assert meta["reference_estimator"] == "zero-variance"
     assert meta["config"]["seed"] == 5
     assert meta["unread"] == ["dim"]
     # triangle inequality between L2 and per-coordinate gaps
@@ -585,7 +585,7 @@ def test_cli_sample_pg_gibbs_and_rwmh_needs_model(tmp_path):
     assert res.exit_code == 0, res.output
     echo = json.loads(res.output)
     assert len(echo["posterior_mean"]) == 2
-    assert echo["estimator"] == "rao-blackwell"
+    assert echo["estimator"] == "zero-variance"
     assert len(echo["draws_mc_se"]) == 2
     lines = out.read_text().splitlines()
     assert lines[0] == "iter,theta1,theta2" and len(lines) == 101

@@ -121,17 +121,19 @@ def test_fisher_matrix_grad_fd_fallback_matches_analytic():
 
 
 def test_monte_carlo_geometry_matches_analytic():
-    model = mp.PoissonRate()
-    theta = np.array([2.0])
-    rep_a = geometry_at(model, theta)
-    rep_mc = geometry_at(model, theta, method="mc", seed=7, draws=200_000)
-    assert rep_mc.method == "monte-carlo"
-    assert np.allclose(rep_mc.gamma_m, rep_mc.gamma_e + rep_mc.T)
-    for name, a, b in [("g", rep_a.g, rep_mc.g),
-                       ("gamma_e", rep_a.gamma_e, rep_mc.gamma_e),
-                       ("T", rep_a.T, rep_mc.T)]:
-        se = np.maximum(rep_mc.mc_se[name], 1e-12)
-        assert np.all(np.abs(a - b) < 4.0 * se), name
+    # logistic draws take design rows uniformly with replacement
+    design = np.column_stack([np.linspace(-1.0, 2.0, 7), np.ones(7)])
+    for model, theta in ((mp.PoissonRate(), np.array([2.0])),
+                         (mp.LogisticGLM(design), np.array([0.8, -0.4]))):
+        rep_a = geometry_at(model, theta)
+        rep_mc = geometry_at(model, theta, method="mc", seed=7, draws=200_000)
+        assert rep_mc.method == "monte-carlo"
+        assert np.allclose(rep_mc.gamma_m, rep_mc.gamma_e + rep_mc.T)
+        for name, a, b in [("g", rep_a.g, rep_mc.g),
+                           ("gamma_e", rep_a.gamma_e, rep_mc.gamma_e),
+                           ("T", rep_a.T, rep_mc.T)]:
+            se = np.maximum(rep_mc.mc_se[name], 1e-12)
+            assert np.all(np.abs(a - b) < 4.0 * se), (model.name, name)
 
 
 def test_monte_carlo_requires_seed_and_is_reproducible():
