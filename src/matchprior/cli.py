@@ -251,6 +251,7 @@ def sample(sampler, model_name, prior_text, data_path, banknote, chain_length,
          "ess": chain.ess, "acceptance_rate": chain.acceptance_rate,
          "estimator": chain.diagnostics["estimator"],
          "draws_mc_se": chain.diagnostics["draws_mc_se"],
+         "zv_degree": chain.diagnostics.get("zv_degree"),
          "seed": chain.seed, "out": str(out_path)}), indent=2, sort_keys=True))
 
 

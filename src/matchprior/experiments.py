@@ -382,6 +382,7 @@ def run_cauchy_calibration(config: ExperimentConfig) -> Path:
     return _write_outputs(config, rows,
                           {"dim": d, "n": n, "m_grid": list(m_grid),
                            "reference": f"rwmh-m{m_max}",
+                           "reference_estimator": "draws",
                            "acceptance_rate": acceptance},
                           ["burnin", "chain_length", "n_grid"],
                           ("n", "m_grid", "mcmc_burnin"))

@@ -48,8 +48,9 @@ class ChainOutput:
     draws, or for polya_gamma_gibbs from the draws corrected by zero-variance
     control variates in the score of log pi; ess is always the draws'
     batch-means ESS, a measure of mixing.  diagnostics["estimator"] says
-    which ("draws" or "zero-variance") and diagnostics["draws_mc_se"] holds
-    the draws' own standard error.
+    which ("draws" or "zero-variance"), diagnostics["zv_degree"] (1 or 2,
+    zero-variance only) the control variates' polynomial degree, and
+    diagnostics["draws_mc_se"] holds the draws' own standard error.
     """
 
     samples: np.ndarray  # (kept, d)
@@ -82,26 +83,39 @@ def _finalize(samples, accepted, seed, extra, scores=None):
     """The chain's output; ess is always the draws'.
 
     Without scores, posterior_mean and mc_se are the draws' mean and its
-    batch-means standard error.  scores, the gradient of log pi at each
-    draw, has posterior mean 0, so samples - scores @ c has the draws'
-    expectation for any (d, d) matrix c: c is the least-squares fit of the
-    centred draws on the centred scores (first-order zero-variance control
-    variates, Mira, Solgi & Imparato 2013), and posterior_mean and mc_se are
-    the mean and batch-means standard error of the corrected draws.  For a
-    Gaussian pi the corrected draws are all the mean.
+    batch-means standard error.  scores, the gradient s of log pi at each
+    draw, give zero-variance control variates (Mira, Solgi & Imparato 2013):
+    for a polynomial P, Laplacian(P) + grad(P) . s has posterior mean 0.
+    Degree 1 takes the d columns of s; degree 2 also takes, for P = theta_j
+    theta_k with j <= k, theta_j s_k + theta_k s_j + 2 [j = k], which absorb
+    the leading skew of a nearly Gaussian pi.  Degree 2 needs d <= 10, which
+    caps the columns at 6.5 times the samples array, and m >= 10 d(d+3)/2
+    kept draws, so the in-sample fit's optimism stays near 10% of the
+    variance; diagnostics["zv_degree"] says which.  c is the least-squares
+    fit of the centred draws on the centred columns, and posterior_mean and
+    mc_se are the mean and batch-means standard error of samples minus the
+    uncentred columns times c.  For a Gaussian pi the corrected draws are all
+    the mean, and at degree 2 so are those of a product of Gammas.
     """
     draws_se, ess = batch_means_se(samples)
+    diagnostics = dict(extra, estimator="draws", draws_mc_se=draws_se)
     if scores is None:
-        mean, se, estimator = samples.mean(axis=0), draws_se, "draws"
+        mean, se = samples.mean(axis=0), draws_se
     else:
-        c = np.linalg.lstsq(scores - scores.mean(axis=0),
+        m, d = samples.shape
+        cv, degree = scores, 1
+        if d <= 10 and 5 * d * (d + 3) <= m:
+            j, k = np.triu_indices(d)
+            quad = samples[:, j] * scores[:, k] + samples[:, k] * scores[:, j]
+            quad[:, j == k] += 2.0
+            cv, degree = np.hstack((scores, quad)), 2
+        c = np.linalg.lstsq(cv - cv.mean(axis=0),
                             samples - samples.mean(axis=0), rcond=None)[0]
-        corrected = samples - scores @ c
+        corrected = samples - cv @ c
         mean, se = corrected.mean(axis=0), batch_means_se(corrected)[0]
-        estimator = "zero-variance"
+        diagnostics.update(estimator="zero-variance", zv_degree=degree)
     return ChainOutput(samples, accepted / samples.shape[0], mean, se, ess,
-                       seed, dict(extra, estimator=estimator,
-                                  draws_mc_se=draws_se))
+                       seed, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +446,13 @@ def polya_gamma_gibbs(design, responses, prior: PriorSpec,
 
     posterior_mean is the zero-variance estimate: the draws' mean corrected
     by control variates in the score X'(y - sigmoid(X beta)) + P0 (m0 - beta)
-    of each kept draw (see _finalize), and mc_se is its batch-means standard
-    error.  The posterior is Gaussian up to an O(n^-1/2) skew, so the
-    correction removes almost all the Monte Carlo error, more as n grows
-    (Papamarkou, Mira & Girolami 2014).  The draws, the generator stream and
-    ess are those of the plain sampler; diagnostics["draws_mc_se"] is the
-    draws' standard error.
+    of each kept draw, of degree 2 when d <= 10 and the chain keeps at least
+    10 d(d+3)/2 draws and of degree 1 otherwise (see _finalize), and mc_se is
+    its batch-means standard error.  The posterior is Gaussian up to an
+    O(n^-1/2) skew, which degree 2 also absorbs, so the correction removes
+    almost all the Monte Carlo error (Papamarkou, Mira & Girolami 2014).  The
+    draws, the generator stream and ess are those of the plain sampler;
+    diagnostics["draws_mc_se"] is the draws' standard error.
     """
     # the row-count, empty and non-finite checks fire before any draw
     data = Dataset(responses, design)

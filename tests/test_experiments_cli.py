@@ -234,6 +234,8 @@ def test_cauchy_run_trajectory(tmp_path):
     assert labels == {"map", "calibrated", "rwmh-m500", "rwmh-m2000"}
     meta = json.loads((out / "meta.json").read_text())
     assert meta["reference"] == "rwmh-m2000"
+    # the reference is the RWMH draws' own mean, uncorrected
+    assert meta["reference_estimator"] == "draws"
     assert len(meta["acceptance_rate"]) == 2
     # the sweep takes n, m_grid and mcmc_burnin from extra instead
     assert meta["unread"] == ["burnin", "chain_length", "n_grid"]
@@ -586,6 +588,8 @@ def test_cli_sample_pg_gibbs_and_rwmh_needs_model(tmp_path):
     echo = json.loads(res.output)
     assert len(echo["posterior_mean"]) == 2
     assert echo["estimator"] == "zero-variance"
+    # d = 2 and 100 kept draws reach the quadratic control variates
+    assert echo["zv_degree"] == 2
     assert len(echo["draws_mc_se"]) == 2
     lines = out.read_text().splitlines()
     assert lines[0] == "iter,theta1,theta2" and len(lines) == 101
