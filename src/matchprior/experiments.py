@@ -220,17 +220,11 @@ def logistic_scenario_data(scenario: int, n: int, rng) -> np.ndarray:
     raise ValueError(f"unknown scenario {scenario}")
 
 
-def _logistic_inputs(scenario, n, seed):
-    """Design, responses, model, data and ridge prior of one logistic cell."""
-    y = logistic_scenario_data(scenario, n, np.random.default_rng(seed))
-    design = logistic_design(n)
-    return (design, y, LogisticGLM(design),
-            Dataset(responses=y, covariates=design), normal_prior(0.0, 1.0))
-
-
 def _logistic_cell(scenario, n, rep, config: ExperimentConfig):
     cell_seed = derived_seed(config.seed, scenario, n, rep)
-    design, y, model, data, ridge = _logistic_inputs(scenario, n, cell_seed)
+    y = logistic_scenario_data(scenario, n, np.random.default_rng(cell_seed))
+    design, ridge = logistic_design(n), normal_prior(0.0, 1.0)
+    model, data = LogisticGLM(design), Dataset(responses=y, covariates=design)
     chain_cfg = ChainConfig(length=config.chain_length, burnin=config.burnin,
                             seed=derived_seed(cell_seed, 1))
     partner = eflat_map_partner(ridge, model)

@@ -588,8 +588,8 @@ def test_cli_sample_pg_gibbs_and_rwmh_needs_model(tmp_path):
     echo = json.loads(res.output)
     assert len(echo["posterior_mean"]) == 2
     assert echo["estimator"] == "zero-variance"
-    # d = 2 and 100 kept draws reach the quadratic control variates
-    assert echo["zv_degree"] == 2
+    # d = 2 and 100 kept draws reach the cubic control variates
+    assert echo["zv_degree"] == 3
     assert len(echo["draws_mc_se"]) == 2
     lines = out.read_text().splitlines()
     assert lines[0] == "iter,theta1,theta2" and len(lines) == 101
